@@ -18,6 +18,7 @@
 // is recorded in the schema-v2 JSONL rows, so perf_compare's speedup floor
 // can be applied per thread count.
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -33,6 +34,8 @@ struct KernelTiming {
   ownsim::RunResult run;
   double wall_seconds = 0.0;
   ownsim::Engine::Stats stats;
+  std::int64_t vca_attempts = 0;    ///< alloc_vc calls, summed over routers
+  std::int64_t sa_nominations = 0;  ///< SA stage-1 requests, summed
 };
 
 const char* kernel_name(ownsim::KernelMode mode) {
@@ -66,6 +69,11 @@ KernelTiming run_point(const ownsim::ExperimentConfig& experiment,
   timing.run = run_load_point(network, injector, experiment.phases);
   timing.wall_seconds = timer.seconds();
   timing.stats = network.engine().stats();
+  for (RouterId r = 0; r < network.spec().num_routers(); ++r) {
+    const RouterCounters& counters = network.router(r).counters();
+    timing.vca_attempts += counters.vca_attempts;
+    timing.sa_nominations += counters.sa_nominations;
+  }
   return timing;
 }
 
@@ -139,6 +147,13 @@ bool three_way(const char* label, const ownsim::ExperimentConfig& experiment,
          /*deterministic=*/true, "either"});
     record.metrics.push_back({"wall_seconds", timing[i].wall_seconds, "s",
                               /*deterministic=*/false, "lower"});
+    // Router work counters: the same on every kernel (same decisions).
+    record.metrics.push_back(
+        {"vca_attempts", static_cast<double>(timing[i].vca_attempts),
+         "calls", /*deterministic=*/true, "lower"});
+    record.metrics.push_back(
+        {"sa_nominations", static_cast<double>(timing[i].sa_nominations),
+         "requests", /*deterministic=*/true, "either"});
     if (mode == KernelMode::kActivity) {
       record.metrics.push_back(
           {"cycles_skipped",

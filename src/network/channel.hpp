@@ -194,7 +194,8 @@ class Channel final : public Clocked {
 
   // Sender state (touched only by the upstream component's eval).
   std::vector<int> credits_;
-  std::vector<bool> vc_busy_;
+  std::vector<bool> vc_busy_;  // set by alloc_vc, cleared only by a tail's
+                               // accept (endpoints.hpp parking contract)
   std::vector<int> rr_next_;  // per-class round-robin VC pointer
   Cycle next_free_ = 0;
 

@@ -40,7 +40,14 @@ class OutputEndpoint {
   virtual ~OutputEndpoint() = default;
 
   /// Tries to allocate a downstream VC for a new packet of `vc_class`.
-  /// Returns kInvalidId when none is available this cycle.
+  /// Returns kInvalidId when none is available this cycle; a refusal has no
+  /// side effect.
+  ///
+  /// Parking contract (the router relies on it to stop re-asking): once
+  /// `alloc_vc(c)` is refused, it stays refused until a tail flit goes
+  /// through `accept()` on this same endpoint — the only place a granted VC
+  /// or lane is released. Only the owning router calls `accept`, so that
+  /// router alone knows when a refused class may succeed again.
   virtual VcId alloc_vc(int vc_class, Cycle now) = 0;
 
   /// True if `flit` (already VC-allocated) can be accepted this cycle:

@@ -53,7 +53,7 @@ Network::Network(NetworkSpec spec) : spec_(std::move(spec)) {
     params.num_vcs = spec_.num_vcs;
     params.buffer_depth = spec_.buffer_depth;
     routers_.push_back(
-        std::make_unique<Router>(params, &spec_.vc_classes, &oracle_));
+        std::make_unique<Router>(params, &oracle_));
   }
 
   // Point-to-point links.

@@ -7,21 +7,27 @@
 
 namespace ownsim {
 
-Router::Router(Params params, const std::vector<VcClassRange>* classes,
-               const RoutingOracle* oracle)
-    : params_(params), classes_(classes), oracle_(oracle) {
+Router::Router(Params params, const RoutingOracle* oracle)
+    : params_(params),
+      oracle_(oracle),
+      idle_head_(num_slots()),
+      routing_(num_slots()),
+      vca_(num_slots()),
+      parked_(num_slots()),
+      active_(num_slots()),
+      blocked_(params.num_outputs * params.num_vcs) {
   if (params_.num_inputs < 1 || params_.num_outputs < 1) {
     throw std::invalid_argument("Router: needs >=1 input and output port");
   }
-  if (classes_ == nullptr || oracle_ == nullptr) {
-    throw std::invalid_argument("Router: classes and oracle must not be null");
+  if (oracle_ == nullptr) {
+    throw std::invalid_argument("Router: oracle must not be null");
   }
+  InputVc idle;
+  idle.buffer =
+      RingBuffer<Flit>(static_cast<std::size_t>(params_.buffer_depth));
   inputs_.resize(static_cast<std::size_t>(params_.num_inputs));
   for (auto& port : inputs_) {
-    port.vcs.resize(static_cast<std::size_t>(params_.num_vcs));
-    for (auto& vc : port.vcs) {
-      vc.buffer = RingBuffer<Flit>(static_cast<std::size_t>(params_.buffer_depth));
-    }
+    port.vcs.assign(static_cast<std::size_t>(params_.num_vcs), idle);
   }
   outputs_.resize(static_cast<std::size_t>(params_.num_outputs));
   sa_request_.assign(inputs_.size(), -1);
@@ -59,10 +65,9 @@ void Router::eval(Cycle now) {
   if (scheduled()) {
     const Cycle gap = now - last_eval_ - 1;
     if (gap > 0) {
-      const int total = static_cast<int>(inputs_.size()) * params_.num_vcs;
       const Cycle advance =
           (vca_rr_ + static_cast<Cycle>(params_.num_vcs) * gap) %
-          std::max(1, total);
+          std::max(1, num_slots());
       vca_rr_ = static_cast<int>(advance);
     }
     last_eval_ = now;
@@ -73,19 +78,26 @@ void Router::eval(Cycle now) {
   stage_intake(now);
   stage_switch(now);
   stage_vca(now);
-  stage_rc(now);
-  stage_detect(now);
+  stage_rc();
+  stage_detect();
 }
 
 void Router::stage_intake(Cycle now) {
-  for (auto& port : inputs_) {
+  for (std::size_t i = 0; i < inputs_.size(); ++i) {
+    auto& port = inputs_[i];
     if (port.endpoint == nullptr) continue;
     const Flit* flit = port.endpoint->poll(now);
     if (flit == nullptr) continue;
     auto& vc = port.vcs.at(static_cast<std::size_t>(flit->vc));
+    const int s = slot(static_cast<int>(i), flit->vc);
     assert(!vc.buffer.full() && "credit protocol violated");
     vc.buffer.push(*flit);
     port.endpoint->pop(now);
+    if (vc.state == VcState::kIdle) {
+      idle_head_.insert(s);
+    } else if (vc.state == VcState::kActive) {
+      active_.insert(s);
+    }
     ++occupancy_;
     ++counters_.buffer_writes;
     obs_buffer_highwater_.observe_max(occupancy_);
@@ -93,31 +105,34 @@ void Router::stage_intake(Cycle now) {
 }
 
 void Router::stage_switch(Cycle now) {
-  // SA stage 1: each input port nominates one ACTIVE VC with a sendable flit.
+  // SA stage 1: each input port with a sendable ACTIVE VC nominates the
+  // first one, in round-robin order from its rr_vc, that its output accepts.
+  const int nvc = params_.num_vcs;
+  const int n_in = params_.num_inputs;
+  const int total = num_slots();
   sa_winners_.clear();
-  for (std::size_t i = 0; i < inputs_.size(); ++i) {
-    auto& port = inputs_[i];
-    sa_request_[i] = -1;
-    const int nvc = static_cast<int>(port.vcs.size());
-    for (int k = 0; k < nvc; ++k) {
-      const int v = (port.rr_vc + k) % nvc;
-      auto& vc = port.vcs[static_cast<std::size_t>(v)];
-      if (vc.state != VcState::kActive || vc.buffer.empty()) continue;
+  for (int s = active_.next(0, total); s < total;) {
+    const int i = s / nvc;
+    const int lo = i * nvc;
+    auto& port = inputs_[static_cast<std::size_t>(i)];
+    active_.for_each_from(lo, lo + nvc, lo + port.rr_vc, [&](int t) {
+      const auto& vc = port.vcs[static_cast<std::size_t>(t - lo)];
       Flit flit = vc.buffer.front();
       flit.vc = vc.out_vc;
-      auto* out = outputs_[static_cast<std::size_t>(vc.route.out_port)].endpoint;
-      if (out != nullptr && out->can_accept(flit, now)) {
-        sa_request_[i] = v;
-        sa_winners_.push_back(static_cast<int>(i));
-        break;
-      }
-    }
+      auto* out =
+          outputs_[static_cast<std::size_t>(vc.route.out_port)].endpoint;
+      if (out == nullptr || !out->can_accept(flit, now)) return true;
+      sa_request_[static_cast<std::size_t>(i)] = t - lo;
+      sa_winners_.push_back(i);
+      return false;
+    });
+    s = active_.next(lo + nvc, total);
   }
+  counters_.sa_nominations += static_cast<std::int64_t>(sa_winners_.size());
 
   // SA stage 2: each contended output grants the requesting input with the
   // smallest round-robin distance from its pointer (equivalent to scanning
   // inputs from rr_input, but O(#requests) instead of O(inputs x outputs)).
-  const int n_in = static_cast<int>(inputs_.size());
   for (int i : sa_winners_) {
     const int v = sa_request_[static_cast<std::size_t>(i)];
     const auto& vc =
@@ -154,12 +169,24 @@ void Router::stage_switch(Cycle now) {
     ++counters_.switch_allocations;
     obs_flits_forwarded_.inc();
 
-    port.rr_vc = (v + 1) % static_cast<int>(port.vcs.size());
+    port.rr_vc = (v + 1) % nvc;
     out.rr_input = (i + 1) % n_in;
 
+    const int s = slot(i, v);
+    if (flit.tail || vc.buffer.empty()) active_.erase(s);
     if (flit.tail) {
       vc.state = VcState::kIdle;
       vc.out_vc = kInvalidId;
+      if (!vc.buffer.empty()) idle_head_.insert(s);
+      // A tail through this port is the only event that can turn a refused
+      // alloc_vc into a grant (endpoints.hpp), so its parked classes retry.
+      blocked_.erase_range(class_slot(o, 0), class_slot(o + 1, 0));
+      for (int p = parked_.next(0, total); p < total;
+           p = parked_.next(p + 1, total)) {
+        if (slot_vc(p).route.out_port != o) continue;
+        parked_.erase(p);
+        vca_.insert(p);
+      }
     }
   }
   // Inputs that nominated a VC this cycle but lost stage-2 arbitration
@@ -170,43 +197,58 @@ void Router::stage_switch(Cycle now) {
 }
 
 void Router::stage_vca(Cycle now) {
-  // Separable VCA: walk input VCs starting from a rotating offset; each
-  // requester asks its output endpoint for a downstream VC of the packet's
-  // class. Endpoints grant first-come within a cycle, so the rotation
-  // provides fairness across ports.
-  const int total = static_cast<int>(inputs_.size()) * params_.num_vcs;
-  for (int k = 0; k < total; ++k) {
-    const int idx = (vca_rr_ + k) % total;
-    const int i = idx / params_.num_vcs;
-    const int v = idx % params_.num_vcs;
-    auto& vc = inputs_[static_cast<std::size_t>(i)].vcs[static_cast<std::size_t>(v)];
-    if (vc.state != VcState::kVca) continue;
-    auto* out = outputs_[static_cast<std::size_t>(vc.route.out_port)].endpoint;
-    if (out == nullptr) continue;
-    const VcId granted = out->alloc_vc(vc.route.vc_class, now);
-    if (granted != kInvalidId) {
-      vc.out_vc = granted;
-      vc.state = VcState::kActive;
-      ++counters_.vc_allocations;
+  // Separable VCA: walk VCA-state input VCs starting from a rotating offset;
+  // each requester asks its output endpoint for a downstream VC of the
+  // packet's class. Endpoints grant first-come within a cycle, so the
+  // rotation provides fairness across ports. A refused (output, class) is
+  // marked in blocked_ — the endpoint contract guarantees it would be
+  // refused again until this router launches a tail through that output —
+  // and its requesters move to parked_ without calling the endpoint. The
+  // tail returns them to vca_; skipping refusals changes no result.
+  const int total = num_slots();
+  vca_.for_each_from(0, total, vca_rr_, [&](int s) {
+    InputVc& vc = slot_vc(s);
+    const int cls = class_slot(vc.route.out_port, vc.route.vc_class);
+    if (!blocked_.contains(cls)) {
+      auto* out =
+          outputs_[static_cast<std::size_t>(vc.route.out_port)].endpoint;
+      if (out == nullptr) return true;
+      ++counters_.vca_attempts;
+      const VcId granted = out->alloc_vc(vc.route.vc_class, now);
+      if (granted != kInvalidId) {
+        assert(!vc.buffer.empty());
+        vc.out_vc = granted;
+        vc.state = VcState::kActive;
+        vca_.erase(s);
+        active_.insert(s);
+        ++counters_.vc_allocations;
+        return true;
+      }
+      blocked_.insert(cls);
     }
-  }
+    vca_.erase(s);
+    parked_.insert(s);
+    return true;
+  });
   vca_rr_ = (vca_rr_ + params_.num_vcs) % std::max(1, total);
 }
 
-void Router::stage_rc(Cycle now) {
-  (void)now;
-  for (auto& port : inputs_) {
-    for (auto& vc : port.vcs) {
-      if (vc.state != VcState::kRouting) continue;
-      assert(!vc.buffer.empty() && vc.buffer.front().head);
-      Flit& head = vc.buffer.front();
-      vc.route = oracle_->route(params_.id, head);
-      assert(vc.route.out_port >= 0 &&
-             vc.route.out_port < static_cast<PortId>(outputs_.size()));
-      head.vc_class = vc.route.vc_class;
-      vc.state = VcState::kVca;
-      ++counters_.route_computations;
-    }
+void Router::stage_rc() {
+  const int total = num_slots();
+  for (int s = routing_.next(0, total); s < total;
+       s = routing_.next(s + 1, total)) {
+    InputVc& vc = slot_vc(s);
+    assert(!vc.buffer.empty() && vc.buffer.front().head);
+    Flit& head = vc.buffer.front();
+    vc.route = oracle_->route(params_.id, head);
+    assert(vc.route.out_port >= 0 &&
+           vc.route.out_port < static_cast<PortId>(outputs_.size()));
+    assert(vc.route.vc_class >= 0 && vc.route.vc_class < params_.num_vcs);
+    head.vc_class = vc.route.vc_class;
+    vc.state = VcState::kVca;
+    routing_.erase(s);
+    vca_.insert(s);
+    ++counters_.route_computations;
   }
 }
 
@@ -233,15 +275,15 @@ void Router::dump_state(std::ostream& os) const {
   }
 }
 
-void Router::stage_detect(Cycle now) {
-  (void)now;
-  for (auto& port : inputs_) {
-    for (auto& vc : port.vcs) {
-      if (vc.state == VcState::kIdle && !vc.buffer.empty()) {
-        assert(vc.buffer.front().head && "body flit at idle VC head");
-        vc.state = VcState::kRouting;
-      }
-    }
+void Router::stage_detect() {
+  const int total = num_slots();
+  for (int s = idle_head_.next(0, total); s < total;
+       s = idle_head_.next(s + 1, total)) {
+    InputVc& vc = slot_vc(s);
+    assert(vc.buffer.front().head && "body flit at idle VC head");
+    vc.state = VcState::kRouting;
+    idle_head_.erase(s);
+    routing_.insert(s);
   }
 }
 

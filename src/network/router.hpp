@@ -7,7 +7,9 @@
 // the packet's allocation and only contend for the switch. Switch allocation
 // is separable input-first with round-robin priority at both stages. Flow
 // control is credit-based wormhole; credits return through the upstream
-// endpoint as buffer slots free.
+// endpoint as buffer slots free. The VC states are mirrored in slot sets so
+// every stage visits only the VCs that can act, in the same round-robin
+// order as a full scan (DESIGN.md §5).
 //
 // Port counts are asymmetric (e.g. an OWN photonic router reads ONE home
 // waveguide but writes 15), so inputs and outputs are configured separately.
@@ -21,8 +23,8 @@
 #include <vector>
 
 #include "common/ring_buffer.hpp"
+#include "common/slot_set.hpp"
 #include "common/types.hpp"
-#include "network/channel.hpp"  // VcClassRange
 #include "network/endpoints.hpp"
 #include "network/flit.hpp"
 #include "obs/counters.hpp"
@@ -53,6 +55,10 @@ struct RouterCounters {
   std::int64_t route_computations = 0;
   std::int64_t vc_allocations = 0;
   std::int64_t switch_allocations = 0;  ///< granted SA requests
+  /// Work counters (not power inputs): `alloc_vc` calls made by VCA, and
+  /// SA stage-1 nominations (input ports that requested an output).
+  std::int64_t vca_attempts = 0;
+  std::int64_t sa_nominations = 0;
 };
 
 class Router final : public Clocked {
@@ -65,8 +71,7 @@ class Router final : public Clocked {
     int buffer_depth = 8;
   };
 
-  Router(Params params, const std::vector<VcClassRange>* classes,
-         const RoutingOracle* oracle);
+  Router(Params params, const RoutingOracle* oracle);
 
   /// Wiring (done once by the Network assembler before the first cycle).
   void connect_input(PortId port, InputEndpoint* endpoint);
@@ -124,11 +129,23 @@ class Router final : public Clocked {
   void stage_intake(Cycle now);
   void stage_switch(Cycle now);  // SA + ST + LT launch
   void stage_vca(Cycle now);
-  void stage_rc(Cycle now);
-  void stage_detect(Cycle now);
+  void stage_rc();
+  void stage_detect();
+
+  /// Input slots: VC v of input i is slot i * num_vcs + v in the VC-state
+  /// sets below.
+  int num_slots() const { return params_.num_inputs * params_.num_vcs; }
+  int slot(int i, int v) const { return i * params_.num_vcs + v; }
+  InputVc& slot_vc(int s) {
+    return inputs_[static_cast<std::size_t>(s / params_.num_vcs)]
+        .vcs[static_cast<std::size_t>(s % params_.num_vcs)];
+  }
+  /// Slot of (output port, VC class) in blocked_.
+  int class_slot(PortId o, int vc_class) const {
+    return o * params_.num_vcs + vc_class;
+  }
 
   Params params_;
-  const std::vector<VcClassRange>* classes_;
   const RoutingOracle* oracle_;
   std::vector<InputPort> inputs_;
   std::vector<OutputPort> outputs_;
@@ -140,8 +157,18 @@ class Router final : public Clocked {
   obs::Counter obs_sa_retries_;
   obs::Gauge obs_buffer_highwater_;
 
+  // VC-state sets over input slots (see slot()); each mirrors InputVc::state
+  // (and buffer occupancy) and is updated where those change.
+  SlotSet idle_head_;  ///< kIdle with a buffered head (detect's work)
+  SlotSet routing_;    ///< kRouting
+  SlotSet vca_;        ///< kVca, not parked (VCA's work)
+  SlotSet parked_;     ///< kVca waiting on a blocked (output, class)
+  SlotSet active_;     ///< kActive with a buffered flit (SA's work)
+  /// (output port, class) pairs whose alloc_vc was refused; see stage_vca.
+  SlotSet blocked_;
+
   // Scratch for SA (persistent to avoid per-cycle allocation).
-  std::vector<int> sa_request_;   ///< per input: winning VC index or -1
+  std::vector<int> sa_request_;   ///< per nominating input: its VC index
   std::vector<int> sa_winners_;   ///< inputs that nominated a VC this cycle
   std::vector<int> grant_key_;    ///< per output: RR distance of best request
   std::vector<int> grant_input_;  ///< per output: input holding best request

@@ -166,7 +166,9 @@ class SharedMedium final : public Clocked {
     std::vector<Flit> staged_in;  // becomes visible to the medium at commit
     int staged_count = 0;         // staging.size() + staged_in.size()
     bool packet_open = false;     // a packet has been VCA'd and not yet fully
-                                  // accepted (head..tail) on this class
+                                  // accepted (head..tail) on this class;
+                                  // cleared only by the tail's accept
+                                  // (endpoints.hpp parking contract)
   };
 
   struct Writer final : OutputEndpoint {

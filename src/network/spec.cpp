@@ -22,6 +22,9 @@ void NetworkSpec::validate() const {
 
   // VC classes must partition prefix ranges inside [0, num_vcs).
   if (vc_classes.empty()) fail(name, "no VC classes");
+  if (static_cast<int>(vc_classes.size()) > num_vcs) {
+    fail(name, "more VC classes than VCs");
+  }
   for (const auto& cls : vc_classes) {
     if (cls.first < 0 || cls.count < 1 || cls.first + cls.count > num_vcs) {
       fail(name, "VC class out of range");

@@ -8,6 +8,7 @@
 // trip mid-epoch from the serial lane.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -230,6 +231,27 @@ TEST(ParallelParity, ThreadCountNeverChangesTheReport) {
     EXPECT_EQ(reference.json, parallel.json)
         << "diverged at threads=" << threads;
   }
+}
+
+TEST(ParallelParity, PClos256ThreeWayReportsAreByteIdentical) {
+  // p-Clos leaf routers carry 40 inputs x 4 VCs = 160 VC slots, so their
+  // router VC-state sets span three 64-bit words.
+  ExperimentConfig config = own256_experiment();
+  config.topology = TopologyKind::kPClos;
+  const Network net(build_topology(config.topology, config.options));
+  int max_slots = 0;
+  for (RouterId r = 0; r < net.spec().num_routers(); ++r) {
+    max_slots = std::max(max_slots, net.router(r).num_inputs() *
+                                        net.spec().num_vcs);
+  }
+  ASSERT_GT(max_slots, 128);
+  const ParityPoint activity = run_point(config, KernelMode::kActivity);
+  const ParityPoint lockstep = run_point(config, KernelMode::kLockstep);
+  const ParityPoint parallel =
+      run_point(config, KernelMode::kParallel, /*threads=*/2);
+  ASSERT_TRUE(activity.result.run.drained);
+  EXPECT_EQ(activity.json, lockstep.json);
+  EXPECT_EQ(activity.json, parallel.json);
 }
 
 TEST(ParallelParity, Cmesh1024UsesTheGenericPartitionFallback) {
