@@ -154,6 +154,17 @@ bool three_way(const char* label, const ownsim::ExperimentConfig& experiment,
     record.metrics.push_back(
         {"sa_nominations", static_cast<double>(timing[i].sa_nominations),
          "requests", /*deterministic=*/true, "either"});
+    if (mode != KernelMode::kLockstep) {
+      // Scheduler work: deterministic for a given point (every kernel but
+      // lockstep evaluates only what was woken), so a noise-free proxy for
+      // the wall time next to it.
+      record.metrics.push_back({"evals",
+                                static_cast<double>(timing[i].stats.evals),
+                                "evals", /*deterministic=*/true, "lower"});
+      record.metrics.push_back({"wakes",
+                                static_cast<double>(timing[i].stats.wakes),
+                                "wakes", /*deterministic=*/true, "lower"});
+    }
     if (mode == KernelMode::kActivity) {
       record.metrics.push_back(
           {"cycles_skipped",

@@ -57,9 +57,22 @@ bool Channel::Sender::can_accept(const Flit& flit, Cycle now) const {
   return now >= ch.next_free_ && ch.credits_[flit.vc] > 0;
 }
 
+void Channel::Sender::wake_when_ready(Clocked* waiter, Cycle now) {
+  auto& ch = *channel;
+  // Serialization frees at a known cycle; a credit frees when eval absorbs
+  // it, and the upstream component (evaluated before channels every cycle)
+  // sees it from the next cycle on.
+  if (now < ch.next_free_) {
+    waiter->request_wake(ch.next_free_);
+  } else {
+    ch.credit_waiter_ = waiter;
+  }
+}
+
 void Channel::Sender::accept(const Flit& flit, Cycle now) {
   auto& ch = *channel;
   assert(can_accept(flit, now));
+  ch.credit_waiter_ = nullptr;
   Timed timed{flit, now + ch.latency_};
   if (ch.fault_ != nullptr) ch.apply_fault_on_accept(timed);
   ch.staged_flits_.push_back(timed);
@@ -258,6 +271,10 @@ void Channel::eval(Cycle now) {
   while (!credit_pipe_.empty() && credit_pipe_.front().arrival <= now) {
     ++credits_[credit_pipe_.front().vc];
     credit_pipe_.pop_front();
+    if (credit_waiter_ != nullptr) {
+      credit_waiter_->request_wake(now + 1);
+      credit_waiter_ = nullptr;
+    }
   }
   if (fault_ != nullptr) {
     // Receiver-side CRC check, one cycle before each corrupt copy would

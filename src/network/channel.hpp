@@ -164,6 +164,7 @@ class Channel final : public Clocked {
     VcId alloc_vc(int vc_class, Cycle now) override;
     bool can_accept(const Flit& flit, Cycle now) const override;
     void accept(const Flit& flit, Cycle now) override;
+    void wake_when_ready(Clocked* waiter, Cycle now) override;
     Channel* channel;
   };
 
@@ -198,6 +199,9 @@ class Channel final : public Clocked {
                                // accept (endpoints.hpp parking contract)
   std::vector<int> rr_next_;  // per-class round-robin VC pointer
   Cycle next_free_ = 0;
+  /// Sender refused for lack of a credit; woken at now+1 by the eval that
+  /// absorbs the next credit (endpoints.hpp wake contract).
+  Clocked* credit_waiter_ = nullptr;
 
   // Pipes. `staged_*` filled during eval, merged in commit.
   std::deque<Timed> flit_pipe_;

@@ -21,6 +21,8 @@
 
 namespace ownsim {
 
+class Clocked;
+
 class InputEndpoint {
  public:
   virtual ~InputEndpoint() = default;
@@ -53,6 +55,15 @@ class OutputEndpoint {
   /// True if `flit` (already VC-allocated) can be accepted this cycle:
   /// serialization slot free and a buffer credit available.
   virtual bool can_accept(const Flit& flit, Cycle now) const = 0;
+
+  /// Wake contract (the router relies on it to sleep while its outputs
+  /// refuse it, DESIGN.md §5e): after `can_accept` refused `waiter` at
+  /// `now`, wake `waiter` no later than the first cycle `can_accept` could
+  /// return true. Waking early is allowed — the waiter re-checks and
+  /// registers again. A registration fires at most once, and an `accept`
+  /// drops it (the waiter is evaluating then and re-registers if it stalls
+  /// again).
+  virtual void wake_when_ready(Clocked* waiter, Cycle now) = 0;
 
   /// Hands the flit to the link/medium. Caller must have checked can_accept.
   virtual void accept(const Flit& flit, Cycle now) = 0;

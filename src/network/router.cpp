@@ -15,7 +15,8 @@ Router::Router(Params params, const RoutingOracle* oracle)
       vca_(num_slots()),
       parked_(num_slots()),
       active_(num_slots()),
-      blocked_(params.num_outputs * params.num_vcs) {
+      blocked_(params.num_outputs * params.num_vcs),
+      waited_outputs_(params.num_outputs) {
   if (params_.num_inputs < 1 || params_.num_outputs < 1) {
     throw std::invalid_argument("Router: needs >=1 input and output port");
   }
@@ -75,14 +76,35 @@ void Router::eval(Cycle now) {
   // Order implements pipelining: SA consumes last cycle's VCA grants, VCA
   // consumes last cycle's RC results, and so on. Intake runs first so an
   // arriving head is detected the same cycle and enters RC the next.
-  stage_intake(now);
-  stage_switch(now);
-  stage_vca(now);
+  const bool took = stage_intake(now);
+  const bool nominated = stage_switch(now);
+  const bool granted = stage_vca(now);
   stage_rc();
   stage_detect();
+  // Stalled: nothing moved and no VC waits for RC or VCA next cycle (detect
+  // always empties idle_head_). The next eval would only rotate vca_rr_, so
+  // the router sleeps until an arrival or a refusing output wakes it.
+  const int total = num_slots();
+  stalled_ = !took && !nominated && !granted &&
+             routing_.next(0, total) == total && vca_.next(0, total) == total;
+  if (stalled_) wait_for_outputs(now);
 }
 
-void Router::stage_intake(Cycle now) {
+void Router::wait_for_outputs(Cycle now) {
+  const int total = num_slots();
+  for (int s = active_.next(0, total); s < total;
+       s = active_.next(s + 1, total)) {
+    const PortId o = slot_vc(s).route.out_port;
+    if (waited_outputs_.contains(o)) continue;
+    waited_outputs_.insert(o);
+    auto* out = outputs_[static_cast<std::size_t>(o)].endpoint;
+    if (out != nullptr) out->wake_when_ready(this, now);
+  }
+  waited_outputs_.erase_range(0, params_.num_outputs);
+}
+
+bool Router::stage_intake(Cycle now) {
+  bool took = false;
   for (std::size_t i = 0; i < inputs_.size(); ++i) {
     auto& port = inputs_[i];
     if (port.endpoint == nullptr) continue;
@@ -101,10 +123,12 @@ void Router::stage_intake(Cycle now) {
     ++occupancy_;
     ++counters_.buffer_writes;
     obs_buffer_highwater_.observe_max(occupancy_);
+    took = true;
   }
+  return took;
 }
 
-void Router::stage_switch(Cycle now) {
+bool Router::stage_switch(Cycle now) {
   // SA stage 1: each input port with a sendable ACTIVE VC nominates the
   // first one, in round-robin order from its rr_vc, that its output accepts.
   const int nvc = params_.num_vcs;
@@ -194,9 +218,10 @@ void Router::stage_switch(Cycle now) {
   obs_sa_retries_.add(static_cast<std::int64_t>(sa_winners_.size()) -
                       static_cast<std::int64_t>(granted_outputs_.size()));
   granted_outputs_.clear();
+  return !sa_winners_.empty();
 }
 
-void Router::stage_vca(Cycle now) {
+bool Router::stage_vca(Cycle now) {
   // Separable VCA: walk VCA-state input VCs starting from a rotating offset;
   // each requester asks its output endpoint for a downstream VC of the
   // packet's class. Endpoints grant first-come within a cycle, so the
@@ -206,6 +231,7 @@ void Router::stage_vca(Cycle now) {
   // and its requesters move to parked_ without calling the endpoint. The
   // tail returns them to vca_; skipping refusals changes no result.
   const int total = num_slots();
+  bool granted_any = false;
   vca_.for_each_from(0, total, vca_rr_, [&](int s) {
     InputVc& vc = slot_vc(s);
     const int cls = class_slot(vc.route.out_port, vc.route.vc_class);
@@ -222,6 +248,7 @@ void Router::stage_vca(Cycle now) {
         vca_.erase(s);
         active_.insert(s);
         ++counters_.vc_allocations;
+        granted_any = true;
         return true;
       }
       blocked_.insert(cls);
@@ -231,6 +258,7 @@ void Router::stage_vca(Cycle now) {
     return true;
   });
   vca_rr_ = (vca_rr_ + params_.num_vcs) % std::max(1, total);
+  return granted_any;
 }
 
 void Router::stage_rc() {
@@ -254,6 +282,27 @@ void Router::stage_rc() {
 
 void Router::dump_state(std::ostream& os) const {
   static const char* kStateNames[] = {"IDLE", "ROUTING", "VCA", "ACTIVE"};
+  // Why the router may be asleep: a stalled router waits for an arrival or
+  // for a refusing output's wake; parked slots wait for this router's own
+  // tail through a blocked (output, class).
+  os << "router " << params_.id << " stalled=" << (stalled_ ? 1 : 0)
+     << " parked=[";
+  const int total = num_slots();
+  const char* sep = "";
+  for (int s = parked_.next(0, total); s < total;
+       s = parked_.next(s + 1, total)) {
+    os << sep << "in" << s / params_.num_vcs << ".vc" << s % params_.num_vcs;
+    sep = " ";
+  }
+  os << "] blocked=[";
+  sep = "";
+  const int classes = params_.num_outputs * params_.num_vcs;
+  for (int c = blocked_.next(0, classes); c < classes;
+       c = blocked_.next(c + 1, classes)) {
+    os << sep << "out" << c / params_.num_vcs << ".cls" << c % params_.num_vcs;
+    sep = " ";
+  }
+  os << "]\n";
   for (std::size_t i = 0; i < inputs_.size(); ++i) {
     const auto& port = inputs_[i];
     for (std::size_t v = 0; v < port.vcs.size(); ++v) {

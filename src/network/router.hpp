@@ -80,13 +80,17 @@ class Router final : public Clocked {
   void eval(Cycle now) override;
   void commit(Cycle /*now*/) override {}
 
-  /// Dormant when no flit is buffered: every pipeline stage needs a buffered
-  /// flit to do anything (ROUTING/VCA imply a buffered head; ACTIVE with an
-  /// empty buffer just waits for upstream). Arrivals re-activate the router
-  /// via the source channel/medium's sink wake. The only per-cycle state a
-  /// dormant router would have touched — the VCA rotation pointer — is
-  /// reconstructed in closed form at the next eval (see stage_vca).
-  bool is_idle() const override { return occupancy_ == 0; }
+  /// Dormant when no flit is buffered, or when the last eval stalled: it
+  /// took no flit, nominated nothing in SA, granted no VC and left no VC
+  /// waiting for detect/RC/VCA (parked requesters may remain — only this
+  /// router's own tail unparks them). The next eval of a stalled router
+  /// would change nothing until an input delivers a flit (the source
+  /// channel/medium's sink wake) or a refusing output frees up, and every
+  /// such output was asked to wake it (OutputEndpoint::wake_when_ready).
+  /// The only per-cycle state a dormant router would have touched — the VCA
+  /// rotation pointer — is reconstructed in closed form at the next eval
+  /// (see eval). DESIGN.md §5e.
+  bool is_idle() const override { return occupancy_ == 0 || stalled_; }
 
   RouterId id() const { return params_.id; }
   int num_inputs() const { return params_.num_inputs; }
@@ -102,7 +106,9 @@ class Router final : public Clocked {
   /// buffer_highwater}".
   void bind_obs(obs::Registry& registry);
 
-  /// Writes a human-readable dump of every non-idle input VC (debug aid).
+  /// Writes a human-readable dump of every non-idle input VC, preceded by a
+  /// summary of why the router may be asleep: the stall flag, the parked
+  /// VCA slots and the blocked (output, class) pairs (debug aid).
   void dump_state(std::ostream& os) const;
 
  private:
@@ -126,11 +132,18 @@ class Router final : public Clocked {
     int rr_input = 0;  ///< SA stage-2 round-robin pointer
   };
 
-  void stage_intake(Cycle now);
-  void stage_switch(Cycle now);  // SA + ST + LT launch
-  void stage_vca(Cycle now);
+  // Each stage returns whether it changed state the next eval depends on
+  // (a flit taken, an SA nomination, a VC granted).
+  bool stage_intake(Cycle now);
+  bool stage_switch(Cycle now);  // SA + ST + LT launch
+  bool stage_vca(Cycle now);
   void stage_rc();
   void stage_detect();
+
+  /// Asks every output that refused an ACTIVE VC this eval to wake the
+  /// router once it could accept again (called when the eval stalled, so
+  /// every slot in active_ was refused).
+  void wait_for_outputs(Cycle now);
 
   /// Input slots: VC v of input i is slot i * num_vcs + v in the VC-state
   /// sets below.
@@ -151,6 +164,7 @@ class Router final : public Clocked {
   std::vector<OutputPort> outputs_;
   int vca_rr_ = 0;  ///< round-robin start for VCA request order
   int occupancy_ = 0;
+  bool stalled_ = false;  ///< last eval changed nothing; see is_idle()
   Cycle last_eval_ = -1;  ///< for vca_rr_ catch-up across skipped cycles
   RouterCounters counters_;
   obs::Counter obs_flits_forwarded_;
@@ -166,6 +180,7 @@ class Router final : public Clocked {
   SlotSet active_;     ///< kActive with a buffered flit (SA's work)
   /// (output port, class) pairs whose alloc_vc was refused; see stage_vca.
   SlotSet blocked_;
+  SlotSet waited_outputs_;  ///< wait_for_outputs scratch: outputs asked
 
   // Scratch for SA (persistent to avoid per-cycle allocation).
   std::vector<int> sa_request_;   ///< per nominating input: its VC index

@@ -130,9 +130,16 @@ bool SharedMedium::Writer::can_accept(const Flit& flit, Cycle /*now*/) const {
   return lane.staged_count < static_cast<int>(lane.staging.capacity());
 }
 
+void SharedMedium::Writer::wake_when_ready(Clocked* w, Cycle /*now*/) {
+  // A lane only frees space when eval pops its staging; the writing router
+  // (evaluated before media every cycle) sees the pop from the next cycle.
+  waiter = w;
+}
+
 void SharedMedium::Writer::accept(const Flit& flit, Cycle now) {
   assert(can_accept(flit, now));
   (void)now;
+  waiter = nullptr;
   ClassStaging& lane = per_class[static_cast<std::size_t>(flit.vc)];
   if (lane.staged_in.empty()) {
     MutexLock lock(medium->dirty_mu_);
@@ -269,6 +276,10 @@ void SharedMedium::eval(Cycle now) {
       Flit flit = lane.staging.pop();
       --lane.staged_count;
       if (lane.staging.empty()) --nonempty_stagings_;
+      if (writer.waiter != nullptr) {
+        writer.waiter->request_wake(now + 1);
+        writer.waiter = nullptr;
+      }
       flit.vc = active_vc_;
       // Fault model: the copy may corrupt in transit; the writer retries
       // while holding the token (bus occupied through the NACK round trips),

@@ -175,11 +175,15 @@ class SharedMedium final : public Clocked {
     VcId alloc_vc(int vc_class, Cycle now) override;
     bool can_accept(const Flit& flit, Cycle now) const override;
     void accept(const Flit& flit, Cycle now) override;
+    void wake_when_ready(Clocked* waiter, Cycle now) override;
 
     SharedMedium* medium = nullptr;
     int index = 0;
     std::vector<ClassStaging> per_class;
     int rr_class = 0;  ///< round-robin among classes with pending heads
+    /// Sender refused by a full/undrained lane; woken at now+1 by the eval
+    /// that pops this writer's staging (endpoints.hpp wake contract).
+    Clocked* waiter = nullptr;
   };
 
   struct Reader final : InputEndpoint {

@@ -1,6 +1,7 @@
 #include "traffic/injector.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 
 namespace ownsim {
@@ -42,53 +43,70 @@ void Injector::advance(NodeLookahead& node, Rng& rng, double p) {
 void Injector::eval(Cycle now) {
   if (!enabled_) return;
   const double p = params_.rate / params_.packet_flits;
-  const int num_nodes = network_->spec().num_nodes;
   const bool measured = now >= measure_begin_ && now < measure_end_;
   const bool multipath = network_->spec().has_alt_routing();
   if (!armed_) {
+    // Every node starts drawing at `now`, so every node is due.
     armed_ = true;
-    for (auto& node : lookahead_) {
-      node.next_fire = kNeverCycle;
-      node.drawn_until = now;
+    for (NodeId src = 0; src < network_->spec().num_nodes; ++src) {
+      lookahead_[static_cast<std::size_t>(src)] = {kNeverCycle, now};
+      due_.push_back(src);
     }
   }
-  Cycle next_event = kNeverCycle;
-  for (NodeId src = 0; src < num_nodes; ++src) {
-    auto& node = lookahead_[static_cast<std::size_t>(src)];
-    Rng& rng = rngs_[static_cast<std::size_t>(src)];
-    if (node.next_fire != kNeverCycle && node.next_fire < now) {
-      // Fire missed while disabled: restart this node's process at `now`
-      // (see header — the paused stream position is not rewound).
-      node.next_fire = kNeverCycle;
-      node.drawn_until = now;
-    }
-    while (node.next_fire == kNeverCycle && node.drawn_until <= now) {
-      advance(node, rng, p);
-    }
-    if (node.next_fire == now) {
-      const NodeId dst = pattern_.dest(src, rng);
-      // O1TURN-style topologies balance load by flipping a fair coin between
-      // the two routing functions per packet.
-      const bool use_alt = multipath && rng.chance(0.5);
-      network_->nic().enqueue_packet(
-          src, dst, network_->router_of(dst), params_.packet_flits,
-          params_.flit_bits, network_->injection_vc_class(src, dst, use_alt),
-          now, measured);
-      ++packets_offered_;
-      if (measured) ++measured_offered_;
-      obs_packets_offered_.inc();
-      obs_flits_offered_.add(params_.packet_flits);
-      // The gap draws for now+1.. resume only after the fire's dest/alt
-      // draws, preserving the per-node stream order.
-      node.next_fire = kNeverCycle;
-      node.drawn_until = now + 1;
-      advance(node, rng, p);
-    }
-    next_event = std::min(next_event, node.next_fire != kNeverCycle
-                                          ? node.next_fire
-                                          : node.drawn_until);
+  // Only nodes whose next event is due can change state this cycle. They run
+  // in ascending node order, so NIC enqueue order and packet ids are those
+  // of a per-cycle visit of every node.
+  while (!calendar_.empty() && calendar_.front().first <= now) {
+    std::pop_heap(calendar_.begin(), calendar_.end(),
+                  std::greater<CalendarEntry>{});
+    due_.push_back(calendar_.back().second);
+    calendar_.pop_back();
   }
-  if (next_event != kNeverCycle) request_wake(next_event);
+  std::sort(due_.begin(), due_.end());
+  for (const NodeId src : due_) run_node(src, now, p, measured, multipath);
+  due_.clear();
+  if (!calendar_.empty()) request_wake(calendar_.front().first);
+}
+
+void Injector::run_node(NodeId src, Cycle now, double p, bool measured,
+                        bool multipath) {
+  auto& node = lookahead_[static_cast<std::size_t>(src)];
+  Rng& rng = rngs_[static_cast<std::size_t>(src)];
+  if (node.next_fire != kNeverCycle && node.next_fire < now) {
+    // Fire missed while disabled: restart this node's process at `now`
+    // (see header — the paused stream position is not rewound).
+    node.next_fire = kNeverCycle;
+    node.drawn_until = now;
+  }
+  while (node.next_fire == kNeverCycle && node.drawn_until <= now) {
+    advance(node, rng, p);
+  }
+  if (node.next_fire == now) {
+    const NodeId dst = pattern_.dest(src, rng);
+    // O1TURN-style topologies balance load by flipping a fair coin between
+    // the two routing functions per packet.
+    const bool use_alt = multipath && rng.chance(0.5);
+    network_->nic().enqueue_packet(
+        src, dst, network_->router_of(dst), params_.packet_flits,
+        params_.flit_bits, network_->injection_vc_class(src, dst, use_alt),
+        now, measured);
+    ++packets_offered_;
+    if (measured) ++measured_offered_;
+    obs_packets_offered_.inc();
+    obs_flits_offered_.add(params_.packet_flits);
+    // The gap draws for now+1.. resume only after the fire's dest/alt
+    // draws, preserving the per-node stream order.
+    node.next_fire = kNeverCycle;
+    node.drawn_until = now + 1;
+    advance(node, rng, p);
+  }
+  // The node's next event: its pre-drawn fire, or where drawing resumes. One
+  // left at or before `now` (after a pause, drawing can resume in the past)
+  // is not re-run this eval; the wake clamps it to the next cycle.
+  calendar_.emplace_back(
+      node.next_fire != kNeverCycle ? node.next_fire : node.drawn_until, src);
+  std::push_heap(calendar_.begin(), calendar_.end(),
+                 std::greater<CalendarEntry>{});
 }
 
 }  // namespace ownsim

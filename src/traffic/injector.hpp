@@ -13,9 +13,12 @@
 // are independent and nothing else reads them), so results — including RNG-
 // sensitive destinations and alt-route coins — are bit-identical to the
 // lockstep loop. Between fires the injector sleeps; a wakeup is posted for
-// the earliest next event across nodes. Pre-drawing is capped at
-// `kLookaheadCycles` per batch so a (near-)zero rate cannot spin forever;
-// exhausted batches resume at the next wakeup. Re-enabling after
+// the earliest next event across nodes. Each node's next event (its fire, or
+// where its drawing resumes) sits in a calendar — a min-heap keyed by
+// (cycle, node) — so an eval touches only the nodes due, and processes them
+// in ascending node order exactly as a scan over all nodes would. Pre-drawing
+// is capped at `kLookaheadCycles` per batch so a (near-)zero rate cannot spin
+// forever; exhausted batches resume at the next wakeup. Re-enabling after
 // `set_enabled(false)` restarts each node's Bernoulli process at the current
 // cycle (the paused stream position is not rewound); no current caller
 // re-enables an injector mid-run.
@@ -27,6 +30,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
@@ -63,6 +68,8 @@ class Injector final : public Clocked {
   }
 
   /// Pauses/resumes packet generation (e.g. to let the network fully drain).
+  /// The calendar stays valid across a pause: a disabled eval touches no
+  /// node, so every node's next event is unchanged when generation resumes.
   void set_enabled(bool enabled) {
     enabled_ = enabled;
     // Re-arm: the engine clamps the wake up to the current cycle.
@@ -97,11 +104,20 @@ class Injector final : public Clocked {
   /// `kLookaheadCycles` draws, updating the lookahead state.
   void advance(NodeLookahead& node, Rng& rng, double p);
 
+  /// Runs one due node's events at `now` (restart after a pause, batch
+  /// continuation, fire) and files its next event in the calendar.
+  void run_node(NodeId src, Cycle now, double p, bool measured,
+                bool multipath);
+
   Network* network_;
   TrafficPattern pattern_;
   Params params_;
   std::vector<Rng> rngs_;  ///< one decorrelated stream per node
   std::vector<NodeLookahead> lookahead_;
+  /// Calendar: one (next_event, node) entry per node, min-heap ordered.
+  using CalendarEntry = std::pair<Cycle, NodeId>;
+  std::vector<CalendarEntry> calendar_;
+  std::vector<NodeId> due_;  ///< scratch: nodes popped for this eval
   bool armed_ = false;  ///< lookahead initialized at the first enabled eval
   Cycle measure_begin_ = kNeverCycle;
   Cycle measure_end_ = kNeverCycle;

@@ -1,7 +1,7 @@
 // Edge-case tests for the router microarchitecture: asymmetric port counts,
 // single-VC operation, construction errors, wiring errors, state dumps,
-// head-of-line behavior, VCA requester parking, and pinned arbitration
-// results at saturation.
+// head-of-line behavior, VCA requester parking, output-stall sleep, and
+// pinned arbitration results at saturation.
 #include <gtest/gtest.h>
 
 #include <deque>
@@ -10,6 +10,7 @@
 #include "driver/simulate.hpp"
 #include "helpers.hpp"
 #include "network/network.hpp"
+#include "sim/engine.hpp"
 
 namespace ownsim {
 namespace {
@@ -146,6 +147,7 @@ struct CountingOutput final : OutputEndpoint {
     accepted.push_back(flit.packet);
     if (flit.tail) open[static_cast<std::size_t>(flit.vc)] = false;
   }
+  void wake_when_ready(Clocked*, Cycle) override {}
 };
 
 /// Routes every packet to output 0 in the class its source stamped.
@@ -207,6 +209,71 @@ TEST(RouterEdge, RefusedVcaRequesterParksUntilTailLeaves) {
   EXPECT_EQ(out.accepted, (std::vector<PacketId>{1, 3, 1, 2}));
   EXPECT_EQ(router.counters().vca_attempts, 4);
   EXPECT_EQ(router.counters().vc_allocations, 3);
+  EXPECT_EQ(router.occupancy(), 0);
+}
+
+// ---- Output stalls ---------------------------------------------------------
+//
+// A router whose every buffered flit is refused by its output sleeps, and
+// the refusing output wakes it (OutputEndpoint::wake_when_ready).
+
+/// Output endpoint that refuses everything before `open_at` and remembers
+/// the waiter the router registered; the test fires the wake itself.
+struct GatedOutput final : OutputEndpoint {
+  Cycle open_at = kNeverCycle;
+  Clocked* waiter = nullptr;
+  std::vector<Cycle> accepted_at;
+  VcId alloc_vc(int vc_class, Cycle) override {
+    return static_cast<VcId>(vc_class);
+  }
+  bool can_accept(const Flit&, Cycle now) const override {
+    return now >= open_at;
+  }
+  void accept(const Flit&, Cycle now) override { accepted_at.push_back(now); }
+  void wake_when_ready(Clocked* w, Cycle) override { waiter = w; }
+};
+
+TEST(RouterEdge, OutputStalledRouterSleepsUntilOutputWakesIt) {
+  Router::Params params;
+  params.num_inputs = 1;
+  params.num_outputs = 1;
+  params.num_vcs = 2;
+  params.buffer_depth = 4;
+  const ClassOracle oracle;
+  Router router(params, &oracle);
+  ScriptedInput in;
+  GatedOutput out;
+  router.connect_input(0, &in);
+  router.connect_output(0, &out);
+  Engine engine;
+  engine.set_mode(KernelMode::kActivity);
+  engine.add(&router);
+
+  // A one-flit packet goes through RC and VCA, then SA finds the output
+  // refusing it: the router stalls and registers with the output.
+  in.queue.push_back(packet_flit(7, 0, true, true));
+  for (int i = 0; i < 10 && out.waiter == nullptr; ++i) engine.step();
+  ASSERT_EQ(out.waiter, &router);
+  EXPECT_EQ(router.occupancy(), 1);
+  EXPECT_TRUE(router.is_idle());
+  EXPECT_EQ(engine.num_active(), 0u);
+  std::ostringstream dump;
+  router.dump_state(dump);
+  EXPECT_NE(dump.str().find("stalled=1"), std::string::npos) << dump.str();
+
+  // Asleep: no evals while the output stays shut.
+  const std::int64_t evals = engine.stats().evals;
+  for (int i = 0; i < 20; ++i) engine.step();
+  EXPECT_EQ(engine.stats().evals, evals);
+  EXPECT_TRUE(out.accepted_at.empty());
+
+  // The output opens at `ready` and fires the wake for that cycle: the
+  // router forwards on exactly that cycle.
+  const Cycle ready = engine.now() + 5;
+  out.open_at = ready;
+  out.waiter->request_wake(ready);
+  for (int i = 0; i < 10; ++i) engine.step();
+  EXPECT_EQ(out.accepted_at, (std::vector<Cycle>{ready}));
   EXPECT_EQ(router.occupancy(), 0);
 }
 

@@ -2,12 +2,15 @@
 // property-style parameterized checks on permutation invariants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "helpers.hpp"
 #include "metrics/runner.hpp"
+#include "topology/registry.hpp"
 #include "traffic/injector.hpp"
 #include "traffic/patterns.hpp"
 
@@ -131,6 +134,124 @@ TEST(Injector, DeterministicAcrossRuns) {
                           net.nic().flits_ejected());
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+// The injector's calendar must offer exactly what a scan over every node on
+// every cycle offers: same packets, same cycles, same NIC order (packet ids).
+// The reference below is that scan — one pre-drawn lookahead per node, each
+// node visited in order on every enabled cycle.
+struct Offer {
+  Cycle at;
+  NodeId src;
+  NodeId dst;
+  bool operator==(const Offer&) const = default;
+};
+
+std::vector<Offer> scan_reference(const Network& net,
+                                  const TrafficPattern& pattern,
+                                  const Injector::Params& params,
+                                  const std::vector<bool>& enabled) {
+  const int n = net.spec().num_nodes;
+  const double p = params.rate / params.packet_flits;
+  std::vector<Rng> rngs;
+  for (NodeId node = 0; node < n; ++node) {
+    rngs.emplace_back(params.master_seed, static_cast<std::uint64_t>(node));
+  }
+  struct Lookahead {
+    Cycle next_fire = kNeverCycle;
+    Cycle drawn_until = 0;
+  };
+  std::vector<Lookahead> look;
+  const auto advance = [&](Lookahead& node, Rng& rng) {
+    const Cycle limit = node.drawn_until + Injector::kLookaheadCycles;
+    for (Cycle c = node.drawn_until; c < limit; ++c) {
+      if (rng.chance(p)) {
+        node.next_fire = c;
+        node.drawn_until = c + 1;
+        return;
+      }
+    }
+    node.next_fire = kNeverCycle;
+    node.drawn_until = limit;
+  };
+  std::vector<Offer> offers;
+  for (Cycle now = 0; now < static_cast<Cycle>(enabled.size()); ++now) {
+    if (!enabled[static_cast<std::size_t>(now)]) continue;
+    if (look.empty()) {
+      look.assign(static_cast<std::size_t>(n), {kNeverCycle, now});
+    }
+    for (NodeId src = 0; src < n; ++src) {
+      Lookahead& node = look[static_cast<std::size_t>(src)];
+      Rng& rng = rngs[static_cast<std::size_t>(src)];
+      if (node.next_fire != kNeverCycle && node.next_fire < now) {
+        node = {kNeverCycle, now};
+      }
+      while (node.next_fire == kNeverCycle && node.drawn_until <= now) {
+        advance(node, rng);
+      }
+      if (node.next_fire != now) continue;
+      offers.push_back({now, src, pattern.dest(src, rng)});
+      if (net.spec().has_alt_routing()) rng.chance(0.5);
+      node = {kNeverCycle, now + 1};
+      advance(node, rng);
+    }
+  }
+  return offers;
+}
+
+TEST(Injector, CalendarOffersWhatAPerCycleScanOffers) {
+  TopologyOptions options;
+  options.num_cores = 64;
+  Network net(build_topology(TopologyKind::kCMesh, options));
+  net.engine().set_mode(KernelMode::kActivity);
+  TrafficPattern pattern(PatternKind::kUniform, 64);
+  Injector::Params params;
+  params.rate = 0.2;  // 0.05 packets/node/cycle: ~3 nodes fire per cycle
+  params.packet_flits = 4;
+  params.master_seed = 11;
+  Injector injector(&net, pattern, params);
+  net.engine().add(&injector);
+
+  // On for 300 cycles, paused for 150, on again for 300.
+  std::vector<bool> enabled(750, true);
+  std::fill(enabled.begin() + 300, enabled.begin() + 450, false);
+  net.engine().run(300);
+  injector.set_enabled(false);
+  net.engine().run(150);
+  injector.set_enabled(true);
+  net.engine().run(300);
+  injector.set_enabled(false);
+  ASSERT_TRUE(net.engine().run_until(
+      [&] { return net.nic().packets_in_flight() == 0; }, 200000));
+
+  const std::vector<Offer> expected =
+      scan_reference(net, pattern, params, enabled);
+  std::map<Cycle, int> per_cycle;
+  for (const Offer& offer : expected) ++per_cycle[offer.at];
+  int busiest = 0;
+  for (const auto& [cycle, count] : per_cycle) {
+    busiest = std::max(busiest, count);
+  }
+  ASSERT_GE(busiest, 4) << "rate too low to fire several nodes per cycle";
+  bool fired_after_pause = false;
+  for (const Offer& offer : expected) fired_after_pause |= offer.at >= 450;
+  ASSERT_TRUE(fired_after_pause);
+
+  // Packet ids are handed out in NIC enqueue order, so offer k is packet k.
+  std::vector<PacketRecord> records = net.nic().records();
+  std::sort(records.begin(), records.end(),
+            [](const PacketRecord& a, const PacketRecord& b) {
+              return a.packet < b.packet;
+            });
+  ASSERT_EQ(injector.packets_offered(),
+            static_cast<std::int64_t>(expected.size()));
+  ASSERT_EQ(records.size(), expected.size());
+  for (std::size_t k = 0; k < records.size(); ++k) {
+    SCOPED_TRACE(k);
+    EXPECT_EQ(records[k].packet, static_cast<PacketId>(k));
+    EXPECT_EQ((Offer{records[k].created, records[k].src, records[k].dst}),
+              expected[k]);
+  }
 }
 
 TEST(Injector, RejectsSizeMismatch) {
