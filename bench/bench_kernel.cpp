@@ -36,6 +36,8 @@ struct KernelTiming {
   ownsim::Engine::Stats stats;
   std::int64_t vca_attempts = 0;    ///< alloc_vc calls, summed over routers
   std::int64_t sa_nominations = 0;  ///< SA stage-1 requests, summed
+  std::int64_t medium_evals = 0;    ///< shared-medium evals, summed
+  std::int64_t nic_port_visits = 0; ///< ports the NIC's evals visited
 };
 
 const char* kernel_name(ownsim::KernelMode mode) {
@@ -74,6 +76,10 @@ KernelTiming run_point(const ownsim::ExperimentConfig& experiment,
     timing.vca_attempts += counters.vca_attempts;
     timing.sa_nominations += counters.sa_nominations;
   }
+  for (std::size_t m = 0; m < network.num_media(); ++m) {
+    timing.medium_evals += network.medium(m).evals();
+  }
+  timing.nic_port_visits = network.nic().port_visits();
   return timing;
 }
 
@@ -112,12 +118,15 @@ bool three_way(const char* label, const ownsim::ExperimentConfig& experiment,
   const double parallel_speedup =
       ratio(activity.wall_seconds, parallel.wall_seconds);
 
-  Table table({"kernel", "wall s", "cycles", "evals", "skipped"});
+  Table table({"kernel", "wall s", "cycles", "evals", "medium evals",
+               "nic visits", "skipped"});
   for (int i = 0; i < 3; ++i) {
     table.add_row({kernel_name(modes[i]),
                    Table::num(timing[i].wall_seconds, 4),
                    std::to_string(timing[i].run.cycles_simulated),
                    std::to_string(timing[i].stats.evals),
+                   std::to_string(timing[i].medium_evals),
+                   std::to_string(timing[i].nic_port_visits),
                    std::to_string(timing[i].stats.cycles_skipped)});
   }
   table.print(std::cout);
@@ -164,6 +173,14 @@ bool three_way(const char* label, const ownsim::ExperimentConfig& experiment,
       record.metrics.push_back({"wakes",
                                 static_cast<double>(timing[i].stats.wakes),
                                 "wakes", /*deterministic=*/true, "lower"});
+      // Per-kind work behind those evals: shared-medium evals and the ports
+      // the NIC visited (plain member counters, not obs counters).
+      record.metrics.push_back(
+          {"medium_evals", static_cast<double>(timing[i].medium_evals),
+           "evals", /*deterministic=*/true, "lower"});
+      record.metrics.push_back(
+          {"nic_port_visits", static_cast<double>(timing[i].nic_port_visits),
+           "visits", /*deterministic=*/true, "lower"});
     }
     if (mode == KernelMode::kActivity) {
       record.metrics.push_back(

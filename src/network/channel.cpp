@@ -57,13 +57,13 @@ bool Channel::Sender::can_accept(const Flit& flit, Cycle now) const {
   return now >= ch.next_free_ && ch.credits_[flit.vc] > 0;
 }
 
-void Channel::Sender::wake_when_ready(Clocked* waiter, Cycle now) {
+void Channel::Sender::wake_when_ready(Waiter waiter, Cycle now) {
   auto& ch = *channel;
   // Serialization frees at a known cycle; a credit frees when eval absorbs
   // it, and the upstream component (evaluated before channels every cycle)
   // sees it from the next cycle on.
   if (now < ch.next_free_) {
-    waiter->request_wake(ch.next_free_);
+    waiter.wake(ch.next_free_);
   } else {
     ch.credit_waiter_ = waiter;
   }
@@ -72,7 +72,7 @@ void Channel::Sender::wake_when_ready(Clocked* waiter, Cycle now) {
 void Channel::Sender::accept(const Flit& flit, Cycle now) {
   auto& ch = *channel;
   assert(can_accept(flit, now));
-  ch.credit_waiter_ = nullptr;
+  ch.credit_waiter_ = {};
   Timed timed{flit, now + ch.latency_};
   if (ch.fault_ != nullptr) ch.apply_fault_on_accept(timed);
   ch.staged_flits_.push_back(timed);
@@ -252,8 +252,9 @@ void Channel::Receiver::pop(Cycle now) {
   // while the front still blocked the pipe. Re-arm the sink, or the activity
   // kernel strands the flit until an unrelated wake (lockstep polls every
   // cycle regardless, so this keeps the kernels bit-identical).
-  if (ch.sink_ != nullptr && !ch.flit_pipe_.empty() &&
-      ch.flit_pipe_.front().arrival <= now) {
+  if (ch.flit_pipe_.empty()) return;
+  if (ch.port_sink_ != nullptr) ch.port_sink_->input_pending(ch.sink_port_);
+  if (ch.sink_ != nullptr && ch.flit_pipe_.front().arrival <= now) {
     ch.sink_->request_wake(now + 1);
   }
 }
@@ -271,9 +272,9 @@ void Channel::eval(Cycle now) {
   while (!credit_pipe_.empty() && credit_pipe_.front().arrival <= now) {
     ++credits_[credit_pipe_.front().vc];
     credit_pipe_.pop_front();
-    if (credit_waiter_ != nullptr) {
-      credit_waiter_->request_wake(now + 1);
-      credit_waiter_ = nullptr;
+    if (credit_waiter_) {
+      credit_waiter_.wake(now + 1);
+      credit_waiter_ = {};
     }
   }
   if (fault_ != nullptr) {
@@ -301,6 +302,11 @@ void Channel::eval(Cycle now) {
 }
 
 void Channel::commit(Cycle /*now*/) {
+  // Marked here, not at accept: under the parallel kernel a commit never
+  // overlaps the NIC's eval, so the mark cannot race its walk (§5i).
+  if (port_sink_ != nullptr && !staged_flits_.empty()) {
+    port_sink_->input_pending(sink_port_);
+  }
   for (auto& t : staged_flits_) flit_pipe_.push_back(std::move(t));
   staged_flits_.clear();
   for (auto& c : staged_credits_) credit_pipe_.push_back(c);

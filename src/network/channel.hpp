@@ -85,6 +85,13 @@ class Channel final : public Clocked {
   /// NIC polling `in()`). Wired once by the Network assembler; optional —
   /// unwired channels (unit tests) simply post no wakes.
   void set_sink(Clocked* sink) { sink_ = sink; }
+  /// Multi-port sink (the NIC): also marks `port` pending at every commit
+  /// that latches a flit and at every pop that leaves one in the pipe.
+  void set_sink(PortListener* sink, int port) {
+    sink_ = sink;
+    port_sink_ = sink;
+    sink_port_ = port;
+  }
 
   MediumType medium() const { return medium_; }
   int latency() const { return latency_; }
@@ -164,7 +171,7 @@ class Channel final : public Clocked {
     VcId alloc_vc(int vc_class, Cycle now) override;
     bool can_accept(const Flit& flit, Cycle now) const override;
     void accept(const Flit& flit, Cycle now) override;
-    void wake_when_ready(Clocked* waiter, Cycle now) override;
+    void wake_when_ready(Waiter waiter, Cycle now) override;
     Channel* channel;
   };
 
@@ -201,7 +208,7 @@ class Channel final : public Clocked {
   Cycle next_free_ = 0;
   /// Sender refused for lack of a credit; woken at now+1 by the eval that
   /// absorbs the next credit (endpoints.hpp wake contract).
-  Clocked* credit_waiter_ = nullptr;
+  Waiter credit_waiter_;
 
   // Pipes. `staged_*` filled during eval, merged in commit.
   std::deque<Timed> flit_pipe_;
@@ -210,6 +217,8 @@ class Channel final : public Clocked {
   std::vector<TimedCredit> staged_credits_;
 
   Clocked* sink_ = nullptr;  ///< woken at forward-pipe arrivals
+  PortListener* port_sink_ = nullptr;  ///< == sink_ when it serves many ports
+  int sink_port_ = -1;
 
   LinkCounters counters_;
   obs::Counter obs_flits_;

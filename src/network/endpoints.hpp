@@ -18,10 +18,53 @@
 
 #include "common/types.hpp"
 #include "network/flit.hpp"
+#include "sim/clocked.hpp"
 
 namespace ownsim {
 
-class Clocked;
+/// A component that serves many ports in one eval (the NIC). Endpoints name
+/// the port an event concerns instead of just waking the component, so its
+/// eval visits only the ports with work. Under the parallel kernel the marks
+/// come from other partitions' threads, but never while the listener itself
+/// evaluates (output_ready is called from wave-2 evals or the listener's own
+/// eval, input_pending from commits or the listener's own eval; DESIGN.md
+/// §5i), so implementations need only race-free, order-independent marking
+/// (atomic ORs).
+class PortListener : public Clocked {
+ public:
+  /// `port`'s output endpoint may accept again from cycle `at`: mark the
+  /// port and wake at `at`.
+  virtual void output_ready(int port, Cycle at) = 0;
+  /// `port`'s input endpoint latched a flit; the endpoint's own sink wake
+  /// covers its arrival cycle.
+  virtual void input_pending(int port) = 0;
+};
+
+/// Whom an output endpoint wakes once it could accept again: a whole
+/// component (a router), or one port of a PortListener (the NIC).
+class Waiter {
+ public:
+  Waiter() = default;
+  Waiter(Clocked* component) : component_(component) {}  // NOLINT: implicit
+  Waiter(PortListener* listener, int port)
+      : component_(listener), listener_(listener), port_(port) {}
+
+  explicit operator bool() const { return component_ != nullptr; }
+  friend bool operator==(const Waiter&, const Waiter&) = default;
+
+  void wake(Cycle at) const {
+    if (listener_ != nullptr) {
+      listener_->output_ready(port_, at);
+    } else {
+      component_->request_wake(at);
+    }
+  }
+
+ private:
+  Clocked* component_ = nullptr;
+  PortListener* listener_ = nullptr;
+  int port_ = -1;
+};
 
 class InputEndpoint {
  public:
@@ -56,14 +99,14 @@ class OutputEndpoint {
   /// serialization slot free and a buffer credit available.
   virtual bool can_accept(const Flit& flit, Cycle now) const = 0;
 
-  /// Wake contract (the router relies on it to sleep while its outputs
-  /// refuse it, DESIGN.md §5e): after `can_accept` refused `waiter` at
-  /// `now`, wake `waiter` no later than the first cycle `can_accept` could
-  /// return true. Waking early is allowed — the waiter re-checks and
-  /// registers again. A registration fires at most once, and an `accept`
-  /// drops it (the waiter is evaluating then and re-registers if it stalls
-  /// again).
-  virtual void wake_when_ready(Clocked* waiter, Cycle now) = 0;
+  /// Wake contract (routers and the NIC rely on it to sleep while their
+  /// outputs refuse them, DESIGN.md §5e): after `can_accept` refused
+  /// `waiter` at `now`, wake `waiter` no later than the first cycle
+  /// `can_accept` could return true. Waking early is allowed — the waiter
+  /// re-checks and registers again. A registration fires at most once, and
+  /// an `accept` drops it (the waiter is evaluating then and re-registers if
+  /// it stalls again).
+  virtual void wake_when_ready(Waiter waiter, Cycle now) = 0;
 
   /// Hands the flit to the link/medium. Caller must have checked can_accept.
   virtual void accept(const Flit& flit, Cycle now) = 0;

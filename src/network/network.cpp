@@ -118,7 +118,7 @@ Network::Network(NetworkSpec spec) : spec_(std::move(spec)) {
         MediumType::kElectrical, 1, 1, spec_.num_vcs, spec_.buffer_depth,
         Length{}, &spec_.vc_classes, "ej" + std::to_string(n));
     routers_[r]->connect_output(out_port, eject->out());
-    eject->set_sink(nic_.get());
+    eject->set_sink(nic_.get(), n);
     nic_->connect(n, inject->out(), eject->in());
     node_channels_.push_back(std::move(inject));
     node_channels_.push_back(std::move(eject));

@@ -8,11 +8,17 @@
 // Source queues are unbounded so that offered load beyond saturation is
 // measurable (accepted throughput flattens while queues grow) — the standard
 // open-loop methodology for latency/throughput curves (Fig 7b,c).
+//
+// An eval visits only the ports with work, kept in two ready sets: ports
+// whose queue can inject (non-empty and not waiting on its injection
+// channel) and ports whose ejection channel latched a flit (DESIGN.md §5e).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "common/types.hpp"
@@ -22,7 +28,7 @@
 
 namespace ownsim {
 
-class Nic final : public Clocked {
+class Nic final : public PortListener {
  public:
   explicit Nic(int num_nodes);
 
@@ -46,11 +52,16 @@ class Nic final : public Clocked {
   void eval(Cycle now) override;
   void commit(Cycle /*now*/) override {}
 
-  /// Dormant when every source queue is empty (an open VC implies the rest
-  /// of that packet is still queued, so queued_flits_ == 0 is a complete
-  /// test). Ejection work is covered by the eject channels' sink wakes;
-  /// `enqueue_packet` posts a self-wake.
-  bool is_idle() const override { return queued_flits_ == 0; }
+  /// Dormant when no port can inject and no ejection is pending. A queued
+  /// port missing from the inject set waits on its injection channel, which
+  /// wakes it (output_ready); ejections are announced by the eject channels'
+  /// sink wakes; `enqueue_packet` posts a self-wake.
+  bool is_idle() const override {
+    return inject_ready_.empty() && eject_pending_.empty();
+  }
+
+  void output_ready(int port, Cycle at) override;
+  void input_pending(int port) override { eject_pending_.insert(port); }
 
   /// Packets fully ejected so far (records kept in ejection order).
   const std::vector<PacketRecord>& records() const { return records_; }
@@ -70,6 +81,8 @@ class Nic final : public Clocked {
   std::int64_t packets_in_flight() const {
     return packets_created_ - packets_ejected_;
   }
+  /// Ports visited by evals so far (a work counter for benchmarks).
+  std::int64_t port_visits() const { return port_visits_; }
 
  private:
   struct Port {
@@ -79,7 +92,43 @@ class Nic final : public Clocked {
     VcId open_vc = kInvalidId;  ///< VC of the packet currently injecting
   };
 
+  /// Port bitset with atomic words. Other partitions' threads mark ports
+  /// concurrently with each other (wave-2 credit wakes, commit-time eject
+  /// marks), never with the NIC's eval, so relaxed atomics suffice.
+  class PortSet {
+   public:
+    explicit PortSet(int size);
+    void insert(int port) {
+      word(port).fetch_or(bit(port), std::memory_order_relaxed);
+    }
+    void erase(int port) {
+      word(port).fetch_and(~bit(port), std::memory_order_relaxed);
+    }
+    bool contains(int port) const {
+      return (word(port).load(std::memory_order_relaxed) & bit(port)) != 0;
+    }
+    bool empty() const;
+    /// Smallest member of [from, size), or size.
+    int next(int from) const;
+
+   private:
+    static std::uint64_t bit(int port) {
+      return std::uint64_t{1} << (port & 63);
+    }
+    std::atomic<std::uint64_t>& word(int port) const {
+      return words_[static_cast<std::size_t>(port >> 6)];
+    }
+    int size_;
+    int num_words_;
+    std::unique_ptr<std::atomic<std::uint64_t>[]> words_;
+  };
+
+  void inject(int p, Cycle now);
+  void eject(int p, Cycle now);
+
   std::vector<Port> ports_;
+  PortSet inject_ready_;   ///< non-empty queue, not waiting on its channel
+  PortSet eject_pending_;  ///< eject channel latched a flit
   std::vector<PacketRecord> records_;
   EjectCallback on_eject_;
   PacketId next_packet_ = 0;
@@ -89,6 +138,7 @@ class Nic final : public Clocked {
   std::int64_t measured_ejected_ = 0;
   std::int64_t flits_injected_ = 0;
   std::int64_t flits_ejected_ = 0;
+  std::int64_t port_visits_ = 0;
 };
 
 }  // namespace ownsim

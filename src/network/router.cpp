@@ -23,12 +23,18 @@ Router::Router(Params params, const RoutingOracle* oracle)
   if (oracle_ == nullptr) {
     throw std::invalid_argument("Router: oracle must not be null");
   }
-  InputVc idle;
-  idle.buffer =
-      RingBuffer<Flit>(static_cast<std::size_t>(params_.buffer_depth));
+  const auto depth =
+      static_cast<std::size_t>(std::max(1, params_.buffer_depth));
+  flit_slab_ = RingSlab<Flit>(static_cast<std::size_t>(num_slots()) * depth);
   inputs_.resize(static_cast<std::size_t>(params_.num_inputs));
-  for (auto& port : inputs_) {
-    port.vcs.assign(static_cast<std::size_t>(params_.num_vcs), idle);
+  for (int i = 0; i < params_.num_inputs; ++i) {
+    auto& vcs = inputs_[static_cast<std::size_t>(i)].vcs;
+    vcs.resize(static_cast<std::size_t>(params_.num_vcs));
+    for (int v = 0; v < params_.num_vcs; ++v) {
+      vcs[static_cast<std::size_t>(v)].buffer = RingBuffer<Flit>(
+          flit_slab_.slots() + static_cast<std::size_t>(slot(i, v)) * depth,
+          depth);
+    }
   }
   outputs_.resize(static_cast<std::size_t>(params_.num_outputs));
   sa_request_.assign(inputs_.size(), -1);

@@ -116,7 +116,7 @@ class Router final : public Clocked {
 
   struct InputVc {
     VcState state = VcState::kIdle;
-    RingBuffer<Flit> buffer{1};
+    RingBuffer<Flit> buffer;  ///< a view of flit_slab_
     RouteEntry route;
     VcId out_vc = kInvalidId;
   };
@@ -160,6 +160,9 @@ class Router final : public Clocked {
 
   Params params_;
   const RoutingOracle* oracle_;
+  /// Storage of every VC buffer, buffer_depth flits per input slot (one
+  /// allocation per router instead of one per VC).
+  RingSlab<Flit> flit_slab_;
   std::vector<InputPort> inputs_;
   std::vector<OutputPort> outputs_;
   int vca_rr_ = 0;  ///< round-robin start for VCA request order

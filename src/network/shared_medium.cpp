@@ -11,7 +11,9 @@
 namespace ownsim {
 
 SharedMedium::SharedMedium(Params params, const std::vector<VcClassRange>* classes)
-    : params_(std::move(params)), classes_(classes) {
+    : params_(std::move(params)),
+      classes_(classes),
+      staged_writers_(std::max(1, params_.num_writers)) {
   if (classes_ == nullptr) {
     throw std::invalid_argument("SharedMedium: classes must not be null");
   }
@@ -29,6 +31,11 @@ SharedMedium::SharedMedium(Params params, const std::vector<VcClassRange>* class
           "SharedMedium: select_reader required with multiple readers");
     }
   }
+  const auto depth =
+      static_cast<std::size_t>(std::max(1, params_.max_packet_flits));
+  flit_slab_ = RingSlab<Flit>(static_cast<std::size_t>(params_.num_writers) *
+                              classes_->size() * depth);
+  Flit* slots = flit_slab_.slots();
   writers_.resize(static_cast<std::size_t>(params_.num_writers));
   int windex = 0;
   for (auto& w : writers_) {
@@ -36,8 +43,8 @@ SharedMedium::SharedMedium(Params params, const std::vector<VcClassRange>* class
     w.index = windex++;
     w.per_class.resize(classes_->size());
     for (auto& cls : w.per_class) {
-      cls.staging =
-          RingBuffer<Flit>(static_cast<std::size_t>(params_.max_packet_flits));
+      cls.staging = RingBuffer<Flit>(slots, depth);
+      slots += depth;
     }
   }
   readers_.resize(static_cast<std::size_t>(params_.num_readers));
@@ -130,7 +137,7 @@ bool SharedMedium::Writer::can_accept(const Flit& flit, Cycle /*now*/) const {
   return lane.staged_count < static_cast<int>(lane.staging.capacity());
 }
 
-void SharedMedium::Writer::wake_when_ready(Clocked* w, Cycle /*now*/) {
+void SharedMedium::Writer::wake_when_ready(Waiter w, Cycle /*now*/) {
   // A lane only frees space when eval pops its staging; the writing router
   // (evaluated before media every cycle) sees the pop from the next cycle.
   waiter = w;
@@ -139,8 +146,11 @@ void SharedMedium::Writer::wake_when_ready(Clocked* w, Cycle /*now*/) {
 void SharedMedium::Writer::accept(const Flit& flit, Cycle now) {
   assert(can_accept(flit, now));
   (void)now;
-  waiter = nullptr;
+  waiter = {};
   ClassStaging& lane = per_class[static_cast<std::size_t>(flit.vc)];
+  if (flit.head) {
+    lane.reader = medium->params_.select_reader(flit.dst, flit.dst_router);
+  }
   if (lane.staged_in.empty()) {
     MutexLock lock(medium->dirty_mu_);
     medium->dirty_writers_.push_back(index);
@@ -173,72 +183,100 @@ void SharedMedium::Reader::push_credit(VcId vc, Cycle now) {
   }
   staged_credits.push_back({vc, now + 1});
   // Latch this cycle. No wake: a dormant medium has nothing to spend credits
-  // on, and every non-idle eval absorbs all credits due by then first.
+  // on, every non-idle eval absorbs all credits due by then first, and a
+  // medium sleeping on reader credits wakes when commit merges this one.
   medium->request_commit();
 }
 
 // ---- Medium core ------------------------------------------------------------
 
-bool SharedMedium::try_start(int w, Cycle now) {
-  Writer& writer = writers_[static_cast<std::size_t>(w)];
+std::optional<SharedMedium::StartChoice> SharedMedium::choose_start(
+    int w) const {
+  const Writer& writer = writers_[static_cast<std::size_t>(w)];
   const int num_classes = static_cast<int>(writer.per_class.size());
   for (int k = 0; k < num_classes; ++k) {
     const int cls_idx = (writer.rr_class + k) % num_classes;
-    ClassStaging& lane = writer.per_class[static_cast<std::size_t>(cls_idx)];
+    const ClassStaging& lane = writer.per_class[static_cast<std::size_t>(cls_idx)];
     if (lane.staging.empty()) continue;
-    const Flit& head = lane.staging.front();
-    assert(head.head && "SharedMedium lane must start with a head flit");
-
-    const int reader_idx = params_.select_reader(head.dst, head.dst_router);
-    Reader& reader = readers_.at(static_cast<std::size_t>(reader_idx));
-
-    const VcClassRange& cls = classes_->at(static_cast<std::size_t>(cls_idx));
-    int& rr = rr_vc_next_[static_cast<std::size_t>(cls_idx)];
+    assert(lane.staging.front().head &&
+           "SharedMedium lane must start with a head flit");
+    const Reader& reader = readers_[static_cast<std::size_t>(lane.reader)];
+    const VcClassRange& cls = (*classes_)[static_cast<std::size_t>(cls_idx)];
+    const int rr = rr_vc_next_[static_cast<std::size_t>(cls_idx)];
     for (int i = 0; i < cls.count; ++i) {
       const VcId vc = cls.first + (rr + i) % cls.count;
       if (!reader.vc_busy[vc] && reader.credits[vc] > 0) {
-        reader.vc_busy[vc] = true;
-        rr = (rr + i + 1) % cls.count;
-        active_ = true;
-        active_writer_ = w;
-        active_class_ = cls_idx;
-        active_reader_ = reader_idx;
-        active_vc_ = vc;
-        // Serialization carries across packets: the bus is one physical
-        // channel, so the next flit slot is whatever the previous
-        // transmission left behind, never earlier.
-        next_tx_slot_ = std::max(next_tx_slot_, now);
-        writer.rr_class = (cls_idx + 1) % num_classes;
-        ++counters_.packets;
-        obs_packets_.inc();
-        if (trace_ != nullptr) {
-          active_start_ = now;
-          trace_->instant("grant", "token", obs::TraceWriter::kPidMedia,
-                          trace_tid_, now,
-                          {{"writer", std::to_string(w)},
-                           {"reader", std::to_string(reader_idx)},
-                           {"vc", std::to_string(vc)}});
-        }
-        return true;
+        return StartChoice{cls_idx, vc};
       }
     }
   }
-  return false;
+  return std::nullopt;
+}
+
+bool SharedMedium::try_start(int w, Cycle now) {
+  const std::optional<StartChoice> choice = choose_start(w);
+  if (!choice) return false;
+  Writer& writer = writers_[static_cast<std::size_t>(w)];
+  const int cls_idx = choice->cls;
+  const VcId vc = choice->vc;
+  const int reader_idx =
+      writer.per_class[static_cast<std::size_t>(cls_idx)].reader;
+  const VcClassRange& cls = (*classes_)[static_cast<std::size_t>(cls_idx)];
+  readers_[static_cast<std::size_t>(reader_idx)].vc_busy[vc] = true;
+  rr_vc_next_[static_cast<std::size_t>(cls_idx)] =
+      (vc - cls.first + 1) % cls.count;
+  active_ = true;
+  active_writer_ = w;
+  active_class_ = cls_idx;
+  active_reader_ = reader_idx;
+  active_vc_ = vc;
+  // Serialization carries across packets: the bus is one physical channel,
+  // so the next flit slot is whatever the previous transmission left
+  // behind, never earlier.
+  next_tx_slot_ = std::max(next_tx_slot_, now);
+  writer.rr_class =
+      (cls_idx + 1) % static_cast<int>(writer.per_class.size());
+  ++counters_.packets;
+  obs_packets_.inc();
+  if (trace_ != nullptr) {
+    active_start_ = now;
+    trace_->instant("grant", "token", obs::TraceWriter::kPidMedia, trace_tid_,
+                    now,
+                    {{"writer", std::to_string(w)},
+                     {"reader", std::to_string(reader_idx)},
+                     {"vc", std::to_string(vc)}});
+  }
+  return true;
+}
+
+void SharedMedium::catch_up(Cycle through) {
+  // Every cycle skipped since the last eval would have changed nothing but
+  // the token (plan_sleep): an active medium holds it (no change at all); an
+  // inactive token ring failed arbitration every cycle, moving the token one
+  // writer and, if a packet was staged, counting a token-wait cycle and an
+  // arbitration retry. Whether a transfer is active or a packet staged
+  // cannot change during the gap — a merge that could ends it — so the
+  // state left by the last eval describes every gap cycle.
+  const Cycle gap = through - last_eval_;
+  if (gap <= 0) return;
+  last_eval_ = through;
+  if (active_ || params_.arbitration != ArbitrationKind::kTokenRing) return;
+  token_ = static_cast<int>((token_ + gap % params_.num_writers) %
+                            params_.num_writers);
+  if (staged_at_eval_) {
+    counters_.token_wait_cycles += gap;
+    obs_token_wait_.add(gap);
+    obs_arb_retries_.add(gap);
+  }
 }
 
 void SharedMedium::eval(Cycle now) {
-  // 0. Token catch-up (activity kernel): each cycle skipped while dormant
-  //    would have failed try_start (nothing staged) and moved the token one
-  //    writer position, without touching the token-wait/retry counters
-  //    (those are gated on nonempty_stagings_ > 0). Reconstruct that in
-  //    closed form. Gated on scheduled() so manually driven media (unit
-  //    tests) keep per-call semantics; under lockstep the gap is always 0.
+  ++evals_;
+  // 0. Catch-up (activity kernel) over the cycles skipped since the last
+  //    eval. Gated on scheduled() so manually driven media (unit tests) keep
+  //    per-call semantics; under lockstep the gap is always 0.
   if (scheduled()) {
-    const Cycle gap = now - last_eval_ - 1;
-    if (gap > 0 && params_.arbitration == ArbitrationKind::kTokenRing) {
-      token_ = static_cast<int>((token_ + gap % params_.num_writers) %
-                                params_.num_writers);
-    }
+    catch_up(now - 1);
     last_eval_ = now;
   }
 
@@ -275,10 +313,18 @@ void SharedMedium::eval(Cycle now) {
         reader.credits[active_vc_] > 0) {
       Flit flit = lane.staging.pop();
       --lane.staged_count;
-      if (lane.staging.empty()) --nonempty_stagings_;
-      if (writer.waiter != nullptr) {
-        writer.waiter->request_wake(now + 1);
-        writer.waiter = nullptr;
+      if (lane.staging.empty()) {
+        --nonempty_stagings_;
+        if (std::all_of(writer.per_class.begin(), writer.per_class.end(),
+                        [](const ClassStaging& c) {
+                          return c.staging.empty();
+                        })) {
+          staged_writers_.erase(active_writer_);
+        }
+      }
+      if (writer.waiter) {
+        writer.waiter.wake(now + 1);
+        writer.waiter = {};
       }
       flit.vc = active_vc_;
       // Fault model: the copy may corrupt in transit; the writer retries
@@ -361,29 +407,85 @@ void SharedMedium::eval(Cycle now) {
     }
   } else {
     // 3b. Ideal arbitration: grant the first pending writer round-robin
-    //     from the pointer, all in one cycle.
-    for (int k = 0; k < params_.num_writers; ++k) {
-      const int writer = (token_ + k) % params_.num_writers;
-      if (try_start(writer, now)) {
-        token_ = writer;  // tail launch advances past the granted writer
-        break;
-      }
+    //     from the pointer, all in one cycle (writers with nothing staged
+    //     cannot start, so only staged ones are tried).
+    staged_writers_.for_each_from(0, params_.num_writers, token_, [&](int w) {
+      if (!try_start(w, now)) return true;
+      token_ = w;  // tail launch advances past the granted writer
+      return false;
+    });
+  }
+  if (scheduled()) plan_sleep(now);
+}
+
+void SharedMedium::plan_sleep(Cycle now) {
+  asleep_ = false;
+  wake_on_merge_ = false;
+  staged_at_eval_ = nonempty_stagings_ > 0;
+  // A lost token forces per-cycle evals (is_idle); nothing to plan.
+  if (token_loss_pending_) return;
+  if (active_) {
+    // The medium holds the token until the tail launches, so every eval
+    // before the next launch is a no-op. With the next flit staged and a
+    // credit in hand, that launch is at next_tx_slot_; otherwise it needs a
+    // staging merge or a credit first, and commit ends the sleep.
+    const ClassStaging& lane =
+        writers_[static_cast<std::size_t>(active_writer_)]
+            .per_class[static_cast<std::size_t>(active_class_)];
+    const Reader& reader = readers_[static_cast<std::size_t>(active_reader_)];
+    if (lane.staging.empty() || reader.credits[active_vc_] == 0) {
+      asleep_ = wake_on_merge_ = true;
+    } else if (now + 1 < next_tx_slot_) {
+      asleep_ = true;
+      request_wake(next_tx_slot_);
     }
+    return;
+  }
+  if (nonempty_stagings_ == 0) return;  // dormant (is_idle)
+  // Idle bus with staged heads. Readers' VCs and credits and the staged
+  // heads change only through this medium's evals and commit merges, so
+  // until a merge, the writers whose head can start stay the same. Ideal
+  // arbitration grants one of them at the next eval; a token ring grants
+  // when the token, moving one writer per cycle, reaches the nearest.
+  const int n = params_.num_writers;
+  int hit = -1;
+  staged_writers_.for_each_from(0, n, token_, [&](int w) {
+    if (!choose_start(w)) return true;
+    hit = w;
+    return false;
+  });
+  if (hit < 0) {
+    asleep_ = wake_on_merge_ = true;  // park until a new head or a credit
+    return;
+  }
+  if (params_.arbitration != ArbitrationKind::kTokenRing) return;
+  const int distance = (hit - token_ + n) % n;
+  if (distance > 0) {
+    asleep_ = wake_on_merge_ = true;
+    request_wake(now + 1 + distance);
   }
 }
 
 void SharedMedium::commit(Cycle /*now*/) {
   MutexLock lock(dirty_mu_);
+  // A merge that fills an empty lane (a new head, or the active packet's
+  // next flit) or returns a credit can end a sleep that waits on one.
+  bool news = !dirty_readers_.empty();
   for (const int w : dirty_writers_) {
     Writer& writer = writers_[static_cast<std::size_t>(w)];
     for (auto& lane : writer.per_class) {
       if (lane.staged_in.empty()) continue;
-      if (lane.staging.empty()) ++nonempty_stagings_;
+      if (lane.staging.empty()) {
+        ++nonempty_stagings_;
+        staged_writers_.insert(w);
+        news = true;
+      }
       for (auto& flit : lane.staged_in) lane.staging.push(flit);
       lane.staged_in.clear();
     }
   }
   dirty_writers_.clear();
+  if (news && wake_on_merge_) asleep_ = false;
   for (const int r : dirty_readers_) {
     Reader& reader = readers_[static_cast<std::size_t>(r)];
     for (const auto& credit : reader.staged_credits) {

@@ -26,10 +26,12 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/ring_buffer.hpp"
+#include "common/slot_set.hpp"
 #include "common/thread_annotations.hpp"
 #include "common/types.hpp"
 #include "network/channel.hpp"  // VcClassRange, LinkCounters
@@ -96,16 +98,22 @@ class SharedMedium final : public Clocked {
 
   void eval(Cycle now) override;
   void commit(Cycle now) override;
+  /// Applies the token and token-wait catch-up through `now - 1`, so the
+  /// counters of a sleeping medium are exact whenever they are read.
+  void settle(Cycle now) override { catch_up(now - 1); }
 
-  /// Dormant when no transmission is active and no writer has flits staged.
-  /// Pending reader credits are absorbed lazily (credits are only *read* by
-  /// try_start / the active-transmission path, which run when non-idle), and
-  /// the free-running token position is reconstructed in closed form at the
-  /// next eval — both lockstep-identical (DESIGN.md §5e). A lost token forces
-  /// per-cycle evals: the closed-form catch-up assumes a *rotating* token, so
-  /// both kernels must observe the frozen token the same way (§5f).
+  /// Dormant when no transmission is active and no writer has flits staged,
+  /// or asleep: the last eval found that the evals before a known event
+  /// change nothing but the token position and the token-wait counters
+  /// (plan_sleep). Pending reader credits are absorbed lazily (credits are
+  /// only *read* by the eval), and the free-running token position and
+  /// counters are reconstructed in closed form at the next eval — both
+  /// lockstep-identical (DESIGN.md §5e). A lost token forces per-cycle
+  /// evals: the closed-form catch-up assumes a *rotating* token, so both
+  /// kernels must observe the frozen token the same way (§5f).
   bool is_idle() const override {
-    return !active_ && nonempty_stagings_ == 0 && !token_loss_pending_;
+    return !token_loss_pending_ &&
+           (asleep_ || (!active_ && nonempty_stagings_ == 0));
   }
 
   /// Component to wake when a delivery reaches reader `index` (the router
@@ -115,6 +123,8 @@ class SharedMedium final : public Clocked {
   }
 
   const MediumCounters& counters() const { return counters_; }
+  /// Evals run so far (a work counter for benchmarks, not a model counter).
+  std::int64_t evals() const { return evals_; }
   const Params& params() const { return params_; }
   int token_position() const { return token_; }
   bool transmitting() const { return active_; }
@@ -162,9 +172,11 @@ class SharedMedium final : public Clocked {
   // would let a blocked class-0 packet stall class-1 behind it, closing a
   // class-0 -> wireless -> class-1 -> class-0 dependency cycle.
   struct ClassStaging {
-    RingBuffer<Flit> staging{1};
+    RingBuffer<Flit> staging;     // a view of the medium's flit_slab_
     std::vector<Flit> staged_in;  // becomes visible to the medium at commit
     int staged_count = 0;         // staging.size() + staged_in.size()
+    int reader = 0;               // reader of the lane's packet: select_reader
+                                  // of its head, cached at accept
     bool packet_open = false;     // a packet has been VCA'd and not yet fully
                                   // accepted (head..tail) on this class;
                                   // cleared only by the tail's accept
@@ -175,7 +187,7 @@ class SharedMedium final : public Clocked {
     VcId alloc_vc(int vc_class, Cycle now) override;
     bool can_accept(const Flit& flit, Cycle now) const override;
     void accept(const Flit& flit, Cycle now) override;
-    void wake_when_ready(Clocked* waiter, Cycle now) override;
+    void wake_when_ready(Waiter waiter, Cycle now) override;
 
     SharedMedium* medium = nullptr;
     int index = 0;
@@ -183,7 +195,7 @@ class SharedMedium final : public Clocked {
     int rr_class = 0;  ///< round-robin among classes with pending heads
     /// Sender refused by a full/undrained lane; woken at now+1 by the eval
     /// that pops this writer's staging (endpoints.hpp wake contract).
-    Clocked* waiter = nullptr;
+    Waiter waiter;
   };
 
   struct Reader final : InputEndpoint {
@@ -209,18 +221,38 @@ class SharedMedium final : public Clocked {
     Clocked* sink = nullptr;       // woken at delivery arrivals
   };
 
-  /// Attempts to start transmitting a staged head packet of writer `w`
-  /// (round-robin among its per-class stagings).
+  /// The lane and reader VC a start of writer `w` would take now: its
+  /// per-class stagings round-robin from rr_class, each staged head trying
+  /// its reader's VCs in the class round-robin. None when no staged head can
+  /// start. try_start applies this choice and plan_sleep only tests for it,
+  /// so the two always agree on whether a writer can start.
+  struct StartChoice {
+    int cls;
+    VcId vc;
+  };
+  std::optional<StartChoice> choose_start(int w) const;
+  /// Starts transmitting writer `w`'s staged head packet on choose_start's
+  /// choice; false (and no change) when there is none.
   bool try_start(int w, Cycle now);
+  /// Reconstructs the token and its counters over the cycles after
+  /// last_eval_ up to `through` (see eval step 0).
+  void catch_up(Cycle through);
+  /// Decides, at the end of an eval, whether the evals until a known event
+  /// would be no-ops but for the token and its counters, and if so sleeps
+  /// until that event (DESIGN.md §5e "Shared media sleep").
+  void plan_sleep(Cycle now);
 
   Params params_;
   const std::vector<VcClassRange>* classes_;
+  /// Storage of every writer lane's staging ring, max_packet_flits flits per
+  /// (writer, class) — one allocation per medium instead of one per lane.
+  RingSlab<Flit> flit_slab_;
   std::vector<Writer> writers_;
   std::vector<Reader> readers_;
   std::vector<int> rr_vc_next_;  // per-class RR pointer for reader VC choice
 
   int token_ = 0;
-  Cycle last_eval_ = -1;  ///< for token catch-up across skipped cycles
+  Cycle last_eval_ = -1;  ///< last cycle evaluated or caught up (catch_up)
   bool active_ = false;
   int active_writer_ = 0;
   int active_class_ = 0;
@@ -238,7 +270,16 @@ class SharedMedium final : public Clocked {
   mutable Mutex dirty_mu_;
   std::vector<int> dirty_writers_ OWNSIM_GUARDED_BY(dirty_mu_);
   std::vector<int> dirty_readers_ OWNSIM_GUARDED_BY(dirty_mu_);
-  int nonempty_stagings_ = 0;  ///< writers with flits staged (token-wait stat)
+  int nonempty_stagings_ = 0;  ///< lanes with flits staged (token-wait stat)
+  /// Writers with at least one non-empty lane staging: the only writers
+  /// arbitration can grant, walked from the token instead of every writer.
+  SlotSet staged_writers_;
+
+  // Sleep state (plan_sleep). Under lockstep these are computed but unused.
+  bool asleep_ = false;          ///< idle until a wake or (below) a merge
+  bool wake_on_merge_ = false;   ///< a new head or a credit ends the sleep
+  bool staged_at_eval_ = false;  ///< nonempty_stagings_ > 0 after last eval
+  std::int64_t evals_ = 0;
 
   // Fault-model state (null protocol = healthy medium, zero overhead).
   const fault::Protocol* fault_ = nullptr;

@@ -20,6 +20,9 @@
 //     must be latched this cycle (the engine commits it even if dormant).
 // Any per-cycle state a dormant component would have mutated anyway (e.g. a
 // free-running token) must be reconstructed in closed form on the next eval.
+// If such state is observable (a sleeping medium's token-wait counters), the
+// component also brings it up to date in `settle`, which the engine calls on
+// every component whenever control returns to the caller between steps.
 // The default `is_idle()` returns false: unaware components simply stay in
 // the active set every cycle, which is always correct (lockstep behaviour).
 #pragma once
@@ -39,6 +42,12 @@ class Clocked {
   /// True when eval/commit would be a no-op until the next `request_wake`.
   /// Consulted by the engine after each commit; see the contract above.
   virtual bool is_idle() const { return false; }
+
+  /// Applies the closed-form catch-up through cycle `now - 1` (the last
+  /// executed cycle) so state read between steps is exact. Called by the
+  /// engine on every component at the end of every step/run/run_until;
+  /// must not change what later evals compute.
+  virtual void settle(Cycle now) { (void)now; }
 
   /// Asks the engine to evaluate this component at cycle `at` (clamped to
   /// the earliest cycle the engine can still honor). Public because peers

@@ -114,6 +114,15 @@ void Engine::commit_request(Clocked* component) {
 }
 
 void Engine::step() {
+  advance();
+  settle();
+}
+
+void Engine::settle() {
+  for (Clocked* c : components_) c->settle(now_);
+}
+
+void Engine::advance() {
   if (runtime_ != nullptr) {
     parallel_step();
   } else if (mode_ == KernelMode::kLockstep) {
@@ -121,6 +130,22 @@ void Engine::step() {
   } else {
     step_activity();
   }
+}
+
+void Engine::merge_sorted(std::vector<int>& list, std::vector<int>& fresh) {
+  std::sort(fresh.begin(), fresh.end());
+  std::size_t i = list.size();
+  std::size_t j = fresh.size();
+  std::size_t k = i + j;
+  list.resize(k);
+  while (j > 0) {
+    if (i > 0 && list[i - 1] > fresh[j - 1]) {
+      list[--k] = list[--i];
+    } else {
+      list[--k] = fresh[--j];
+    }
+  }
+  fresh.clear();
 }
 
 void Engine::step_lockstep() {
@@ -146,13 +171,9 @@ void Engine::step_activity() {
       newly_active_.push_back(id);
     }
   }
-  if (!newly_active_.empty()) {
-    active_.insert(active_.end(), newly_active_.begin(), newly_active_.end());
-    // Registration order == id order: sorting restores lockstep's relative
-    // eval order over the evaluated subset.
-    std::sort(active_.begin(), active_.end());
-    newly_active_.clear();
-  }
+  // Registration order == id order: keeping the list sorted preserves
+  // lockstep's relative eval order over the evaluated subset.
+  if (!newly_active_.empty()) merge_sorted(active_, newly_active_);
 
   // 2. Two-phase sweep over the active subset. Evals may post wakes (>= now+1)
   //    and commit requests for dormant peers they staged writes into.
@@ -179,17 +200,15 @@ void Engine::step_activity() {
     }
   }
   active_.resize(keep);
-  bool need_sort = false;
   for (const int id : commit_extras_) {
     if (!is_active_[static_cast<std::size_t>(id)] &&
         !components_[static_cast<std::size_t>(id)]->is_idle()) {
       is_active_[static_cast<std::size_t>(id)] = true;
-      active_.push_back(id);
-      need_sort = true;
+      newly_active_.push_back(id);
     }
   }
   commit_extras_.clear();
-  if (need_sort) std::sort(active_.begin(), active_.end());
+  if (!newly_active_.empty()) merge_sorted(active_, newly_active_);
 
   ++stats_.cycles_stepped;
   stepping_ = false;
@@ -208,24 +227,32 @@ void Engine::skip_to_next_event(Cycle deadline) {
 void Engine::run(Cycle cycles) {
   if (runtime_ != nullptr) {
     parallel_run(cycles);
-    return;
-  }
-  const Cycle deadline = now_ + cycles;
-  while (now_ < deadline) {
-    if (globally_idle()) {
-      skip_to_next_event(deadline);
-    } else {
-      step();
+  } else {
+    const Cycle deadline = now_ + cycles;
+    while (now_ < deadline) {
+      if (globally_idle()) {
+        skip_to_next_event(deadline);
+      } else {
+        advance();
+      }
     }
   }
+  settle();
 }
 
 bool Engine::run_until(const std::function<bool()>& done, Cycle max_cycles) {
-  if (runtime_ != nullptr) return parallel_run_until(done, max_cycles);
+  const bool fired = runtime_ != nullptr
+                         ? parallel_run_until(done, max_cycles)
+                         : step_until(done, max_cycles);
+  settle();
+  return fired;
+}
+
+bool Engine::step_until(const std::function<bool()>& done, Cycle max_cycles) {
   const Cycle deadline = now_ + max_cycles;
   if (mode_ == KernelMode::kLockstep) {
     while (now_ < deadline) {
-      step();
+      advance();
       if (done()) return true;
     }
     return false;
@@ -242,7 +269,7 @@ bool Engine::run_until(const std::function<bool()>& done, Cycle max_cycles) {
       skip_to_next_event(deadline);
       continue;
     }
-    step();
+    advance();
     if (done()) return true;
   }
   return false;

@@ -74,7 +74,9 @@ class Engine {
   /// Current cycle (number of completed steps).
   Cycle now() const { return now_; }
 
-  /// Advances exactly one cycle (never skips ahead, in either mode).
+  /// Advances exactly one cycle (never skips ahead, in either mode). Like
+  /// run and run_until, it returns with every component settled
+  /// (Clocked::settle), so state read between calls is exact.
   void step();
 
   /// Advances `cycles` cycles; in activity mode, globally idle stretches are
@@ -119,8 +121,20 @@ class Engine {
   /// Clocked::request_commit (only meaningful during an eval phase).
   void commit_request(Clocked* component);
 
+  /// One cycle of the selected kernel, without settling.
+  void advance();
   void step_lockstep();
   void step_activity();
+  /// The sequential kernels' run_until loop, without settling.
+  bool step_until(const std::function<bool()>& done, Cycle max_cycles);
+  /// Calls settle(now_) on every component.
+  void settle();
+
+  /// Sorts `fresh` and merges it into the sorted `list` in place (a
+  /// backward merge: no scratch allocation), then clears `fresh`. The two
+  /// hold disjoint ids. Cheaper than re-sorting the whole active list when
+  /// a few components wake.
+  static void merge_sorted(std::vector<int>& list, std::vector<int>& fresh);
 
   /// True when no component is active and no wakeup is due at `now_`
   /// (then nothing can change until `next_wake()`).

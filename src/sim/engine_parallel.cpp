@@ -252,18 +252,8 @@ void Engine::activate_lane(ParallelRuntime& rt, ParallelLane& lane,
       (rt.wave_of(id) == 1 ? lane.newly1 : lane.newly2).push_back(id);
     }
   }
-  if (!lane.newly1.empty()) {
-    lane.active1.insert(lane.active1.end(), lane.newly1.begin(),
-                        lane.newly1.end());
-    std::sort(lane.active1.begin(), lane.active1.end());
-    lane.newly1.clear();
-  }
-  if (!lane.newly2.empty()) {
-    lane.active2.insert(lane.active2.end(), lane.newly2.begin(),
-                        lane.newly2.end());
-    std::sort(lane.active2.begin(), lane.active2.end());
-    lane.newly2.clear();
-  }
+  if (!lane.newly1.empty()) merge_sorted(lane.active1, lane.newly1);
+  if (!lane.newly2.empty()) merge_sorted(lane.active2, lane.newly2);
 }
 
 void Engine::run_lane_front(ParallelRuntime& rt, int lane_index, Cycle now) {
@@ -339,24 +329,16 @@ void Engine::finish_lane(ParallelRuntime& rt, int lane_index, Cycle now) {
   };
   retire(lane.active1);
   retire(lane.active2);
-  bool sort1 = false;
-  bool sort2 = false;
   for (const int id : lane.commit_extras) {
     if (is_active_[static_cast<std::size_t>(id)] == 0 &&
         !components_[static_cast<std::size_t>(id)]->is_idle()) {
       is_active_[static_cast<std::size_t>(id)] = 1;
-      if (rt.wave_of(id) == 1) {
-        lane.active1.push_back(id);
-        sort1 = true;
-      } else {
-        lane.active2.push_back(id);
-        sort2 = true;
-      }
+      (rt.wave_of(id) == 1 ? lane.newly1 : lane.newly2).push_back(id);
     }
   }
   lane.commit_extras.clear();
-  if (sort1) std::sort(lane.active1.begin(), lane.active1.end());
-  if (sort2) std::sort(lane.active2.begin(), lane.active2.end());
+  if (!lane.newly1.empty()) merge_sorted(lane.active1, lane.newly1);
+  if (!lane.newly2.empty()) merge_sorted(lane.active2, lane.newly2);
   detail::tl_parallel_ctx = nullptr;
 }
 

@@ -135,17 +135,25 @@ TEST(Histogram, RejectsBadConstruction) {
 // ---- RingBuffer -------------------------------------------------------------
 
 TEST(RingBuffer, FifoOrderWithWraparound) {
-  RingBuffer<int> rb(4);
+  // Two rings side by side over one slab, as a router's VC buffers are:
+  // wrapping in one must never touch the other's slots.
+  RingSlab<int> slab(8);
+  RingBuffer<int> rb(slab.slots(), 4);
+  RingBuffer<int> next(slab.slots() + 4, 4);
+  for (int i = 0; i < 4; ++i) next.push(-1 - i);
   for (int round = 0; round < 5; ++round) {
     for (int i = 0; i < 4; ++i) rb.push(round * 10 + i);
     EXPECT_TRUE(rb.full());
     for (int i = 0; i < 4; ++i) EXPECT_EQ(rb.pop(), round * 10 + i);
     EXPECT_TRUE(rb.empty());
   }
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(next.pop(), -1 - i);
 }
 
 TEST(RingBuffer, AtIndexesFromFront) {
-  RingBuffer<int> rb(3);
+  RingSlab<int> slab(3);
+  RingBuffer<int> rb(slab.slots(), 3);
+  EXPECT_EQ(rb.capacity(), 3u);
   rb.push(1);
   rb.push(2);
   rb.pop();

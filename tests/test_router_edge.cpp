@@ -147,7 +147,7 @@ struct CountingOutput final : OutputEndpoint {
     accepted.push_back(flit.packet);
     if (flit.tail) open[static_cast<std::size_t>(flit.vc)] = false;
   }
-  void wake_when_ready(Clocked*, Cycle) override {}
+  void wake_when_ready(Waiter, Cycle) override {}
 };
 
 /// Routes every packet to output 0 in the class its source stamped.
@@ -221,7 +221,7 @@ TEST(RouterEdge, RefusedVcaRequesterParksUntilTailLeaves) {
 /// the waiter the router registered; the test fires the wake itself.
 struct GatedOutput final : OutputEndpoint {
   Cycle open_at = kNeverCycle;
-  Clocked* waiter = nullptr;
+  Waiter waiter;
   std::vector<Cycle> accepted_at;
   VcId alloc_vc(int vc_class, Cycle) override {
     return static_cast<VcId>(vc_class);
@@ -230,7 +230,7 @@ struct GatedOutput final : OutputEndpoint {
     return now >= open_at;
   }
   void accept(const Flit&, Cycle now) override { accepted_at.push_back(now); }
-  void wake_when_ready(Clocked* w, Cycle) override { waiter = w; }
+  void wake_when_ready(Waiter w, Cycle) override { waiter = w; }
 };
 
 TEST(RouterEdge, OutputStalledRouterSleepsUntilOutputWakesIt) {
@@ -252,8 +252,8 @@ TEST(RouterEdge, OutputStalledRouterSleepsUntilOutputWakesIt) {
   // A one-flit packet goes through RC and VCA, then SA finds the output
   // refusing it: the router stalls and registers with the output.
   in.queue.push_back(packet_flit(7, 0, true, true));
-  for (int i = 0; i < 10 && out.waiter == nullptr; ++i) engine.step();
-  ASSERT_EQ(out.waiter, &router);
+  for (int i = 0; i < 10 && !out.waiter; ++i) engine.step();
+  ASSERT_EQ(out.waiter, Waiter(&router));
   EXPECT_EQ(router.occupancy(), 1);
   EXPECT_TRUE(router.is_idle());
   EXPECT_EQ(engine.num_active(), 0u);
@@ -271,7 +271,7 @@ TEST(RouterEdge, OutputStalledRouterSleepsUntilOutputWakesIt) {
   // router forwards on exactly that cycle.
   const Cycle ready = engine.now() + 5;
   out.open_at = ready;
-  out.waiter->request_wake(ready);
+  out.waiter.wake(ready);
   for (int i = 0; i < 10; ++i) engine.step();
   EXPECT_EQ(out.accepted_at, (std::vector<Cycle>{ready}));
   EXPECT_EQ(router.occupancy(), 0);
