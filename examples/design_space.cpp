@@ -7,17 +7,20 @@
 // the channel-to-band assignment, prints per-distance-class energy figures,
 // and simulates OWN-256 to report the resulting wireless and total power —
 // then names the winner. The eight simulation points are independent, so
-// they run as one `exec::JobGraph` batch fanned across the worker pool
+// they run as one `exec::parallel_for` fanned across the worker pool
 // (`OWNSIM_THREADS` overrides the worker count).
 #include <algorithm>
+#include <exception>
 #include <iostream>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "driver/simulate.hpp"
-#include "exec/job_graph.hpp"
+#include "exec/parallel_for.hpp"
 #include "exec/thread_pool.hpp"
+#include "metrics/bench_json.hpp"
 #include "metrics/table_io.hpp"
 
 int main() {
@@ -30,48 +33,53 @@ int main() {
     OwnConfig config;
     double mean_epb = 0.0;
     ExperimentResult result;
+    double wall_s = 0.0;
   };
   std::vector<DesignPoint> points;
   for (Scenario scenario : {Scenario::kIdeal, Scenario::kConservative}) {
     for (OwnConfig config : all_configs()) {
-      points.push_back({scenario, config, 0.0, {}});
+      points.push_back({scenario, config, 0.0, {}, 0.0});
     }
   }
 
   exec::ThreadPool pool;
-  exec::JobGraph batch;
-  for (DesignPoint& point : points) {
-    batch.add(std::string(to_string(point.config)) + "/" +
-                  to_string(point.scenario),
-              [&point] {
-                const ChannelEnergyModel model(point.config, point.scenario);
-                double mean_epb = 0.0;
-                for (const auto& a : model.assignments()) {
-                  mean_epb += model.epb(a.channel_id).in(1.0_pj_per_bit);
-                }
-                point.mean_epb =
-                    mean_epb / static_cast<double>(model.assignments().size());
+  try {
+    exec::parallel_for(pool, points.size(), [&points](std::size_t i) {
+      DesignPoint& point = points[i];
+      const WallTimer timer;
+      try {
+        const ChannelEnergyModel model(point.config, point.scenario);
+        double mean_epb = 0.0;
+        for (const auto& a : model.assignments()) {
+          mean_epb += model.epb(a.channel_id).in(1.0_pj_per_bit);
+        }
+        point.mean_epb =
+            mean_epb / static_cast<double>(model.assignments().size());
 
-                ExperimentConfig experiment;
-                experiment.topology = TopologyKind::kOwn;
-                experiment.options.num_cores = 256;
-                experiment.rate = 0.005;
-                experiment.own_config = point.config;
-                experiment.scenario = point.scenario;
-                experiment.phases.warmup = 1500;
-                experiment.phases.measure = 4000;
-                point.result = run_experiment(experiment);
-              });
+        ExperimentConfig experiment;
+        experiment.topology = TopologyKind::kOwn;
+        experiment.options.num_cores = 256;
+        experiment.rate = 0.005;
+        experiment.own_config = point.config;
+        experiment.scenario = point.scenario;
+        experiment.phases.warmup = 1500;
+        experiment.phases.measure = 4000;
+        point.result = run_experiment(experiment);
+      } catch (const std::exception& e) {
+        throw std::runtime_error("design point " +
+                                 std::string(to_string(point.config)) + "/" +
+                                 to_string(point.scenario) +
+                                 " failed: " + e.what());
+      }
+      point.wall_s = timer.seconds();
+    });
+  } catch (const std::exception& e) {
+    std::cerr << e.what() << '\n';
+    return 1;
   }
-  const std::vector<exec::JobReport> reports = batch.run(pool);
   double batch_wall = 0.0;
-  for (const exec::JobReport& report : reports) {
-    if (report.failed) {
-      std::cerr << "design point " << report.name << " failed: "
-                << report.error << '\n';
-      return 1;
-    }
-    batch_wall = std::max(batch_wall, report.wall_seconds);
+  for (const DesignPoint& point : points) {
+    batch_wall = std::max(batch_wall, point.wall_s);
   }
 
   Table table({"scenario", "config", "C2C tech", "E2E tech", "SR tech",
@@ -98,7 +106,7 @@ int main() {
             << " W total). The paper reaches the same conclusion: CMOS on the\n"
                "long/medium links with BiCMOS short-range (config 4), enabled\n"
                "by SDM frequency reuse (Section V.B).\n"
-            << reports.size() << " design points on " << pool.size()
+            << points.size() << " design points on " << pool.size()
             << " threads; slowest point " << Table::num(batch_wall, 2)
             << " s.\n";
   return 0;

@@ -11,9 +11,7 @@
 // Run with `help=1` for the key list.
 //
 // The CLI is a thin client of the shared config -> run -> report path
-// (driver/experiment_config.hpp + run_experiment): the same key=value
-// vocabulary submitted to the ownsim_serve daemon means the same experiment
-// here.
+// (driver/experiment_config.hpp + run_experiment).
 #include <fstream>
 #include <iostream>
 #include <memory>

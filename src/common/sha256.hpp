@@ -1,6 +1,6 @@
-// SHA-256 (FIPS 180-4), self-contained — the content-address of the result
-// cache (serve/result_store) and the experiment cache key are both SHA-256
-// digests, so cache exactness rests on a collision-resistant hash rather
+// SHA-256 (FIPS 180-4), self-contained — the experiment cache key
+// (driver/experiment_config) and the perfbench result digests are SHA-256
+// digests, so their exactness rests on a collision-resistant hash rather
 // than a 64-bit mixer. No external crypto dependency: ~100 lines, byte-exact
 // on any platform.
 #pragma once

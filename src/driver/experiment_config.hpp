@@ -1,19 +1,19 @@
 // ExperimentConfig ingestion and canonicalization — the one config -> run ->
-// report path shared by ownsim_cli and the ownsim_serve daemon.
+// report path shared by ownsim_cli and the perfbench harness.
 //
 // Two representations of an experiment point live here:
 //
-//   * Flat key=value settings (`Config`), the CLI / config-file / daemon
-//     request vocabulary: `parse_experiment_config` turns them into an
-//     ExperimentConfig with full validation. The CLI and the daemon both
-//     call it, so a config line means the same thing submitted over the
-//     socket as typed on the command line.
+//   * Flat key=value settings (`Config`), the CLI / config-file vocabulary:
+//     `parse_experiment_config` turns them into an ExperimentConfig with
+//     full validation, so a config line means the same thing in a file as
+//     typed on the command line.
 //
 //   * Canonical JSON (`canonical_config_json`): a byte-stable, full-fidelity
 //     dump of every field that can influence a simulated result — sorted
 //     keys, shortest-round-trip number forms (common/numfmt). This is the
-//     cache-key input of the serve result store: two configs hash equal iff
-//     their canonical JSON is byte-equal. Deliberately EXCLUDED from the
+//     input of the experiment cache key (`experiment_cache_key`): two
+//     configs hash equal iff their canonical JSON is byte-equal.
+//     Deliberately EXCLUDED from the
 //     canonical form (DESIGN.md §5g):
 //       - `kernel` (and the parallel-kernel `threads`/`partitions` knobs):
 //         activity, lockstep and parallel are bit-identical by contract

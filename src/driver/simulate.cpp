@@ -108,8 +108,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
   if (hooks.before_run) hooks.before_run(network);
 
   ExperimentResult result;
-  result.run = run_load_point(network, injector, config.phases, token,
-                              hooks.progress ? &hooks.progress : nullptr);
+  result.run = run_load_point(network, injector, config.phases, token);
   if (campaign != nullptr) {
     result.fault = campaign->totals();
     result.watchdog_tripped = campaign->watchdog_tripped();
@@ -167,7 +166,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
 
 std::string experiment_result_json(const ExperimentResult& result) {
   // Keys in sorted order at every level (see append_run_result_canonical_json
-  // for why: parse -> dump through the serve JSON layer must be a no-op).
+  // for why: parse -> dump through the JSON layer must be a no-op).
   std::string out;
   out += "{";
   if (result.adapt.enabled) {

@@ -83,18 +83,15 @@ struct ExperimentResult {
   std::vector<std::pair<std::string, std::int64_t>> counters;
 };
 
-/// Optional instrumentation around `run_experiment` — everything the serve
-/// daemon (and the CLI's reporting modes) need from the run without owning
-/// the Network themselves. All members may be empty; none of them may
-/// change the simulated result (the progress/report hooks are read-only by
-/// contract, and cancellation only truncates).
+/// Optional instrumentation around `run_experiment` — everything the CLI's
+/// reporting modes and the perfbench harness need from the run without
+/// owning the Network themselves. All members may be empty; none of them may
+/// change the simulated result (the report hooks are read-only by contract,
+/// and cancellation only truncates).
 struct RunHooks {
   /// External cancel (merged with the watchdog's token when a campaign
   /// arms one): the run returns early with `run.cancelled = true`.
   exec::CancellationToken cancel;
-
-  /// Streamed between simulation slices (see metrics/runner.hpp).
-  RunProgressFn progress;
 
   /// Called after the network is built and all components are registered,
   /// before the first cycle — attach tracing, inspect the spec, etc.
@@ -128,16 +125,16 @@ std::unique_ptr<fault::FaultCampaign> make_campaign(
 /// Runs one load point end to end (build, warm, measure, drain, aggregate).
 ExperimentResult run_experiment(const ExperimentConfig& config);
 
-/// As above, with instrumentation hooks (progress, external cancel, pre/post
-/// network access). `run_experiment(config)` is `run_experiment(config, {})`.
+/// As above, with instrumentation hooks (external cancel, pre/post network
+/// access). `run_experiment(config)` is `run_experiment(config, {})`.
 ExperimentResult run_experiment(const ExperimentConfig& config,
                                 const RunHooks& hooks);
 
 /// Canonical, byte-stable JSON of the deterministic experiment result:
 /// sorted keys, shortest-round-trip number forms (common/numfmt), wall-clock
-/// profile EXCLUDED. This is the payload the serve result cache stores; a
-/// cache hit is byte-identical to a fresh run because every field serialized
-/// here is covered by the determinism contract (DESIGN.md §5g).
+/// profile EXCLUDED. Every field serialized here is covered by the
+/// determinism contract (DESIGN.md §5g), so the kernel-parity tests compare
+/// these bytes and perfbench gates each run on their SHA-256.
 std::string experiment_result_json(const ExperimentResult& result);
 
 }  // namespace ownsim

@@ -92,7 +92,7 @@ void write_run_profile_json(std::ostream& os, const RunResult& result);
 /// latency histogram as sparse nonzero bins — and NOT the wall-clock
 /// `profile`. Exactly the fields `deterministic_eq` compares, so the bytes
 /// are stable across reruns, thread counts, kernels, and tracing. Feeds the
-/// serve result cache payload (driver/simulate: experiment_result_json).
+/// result payload (driver/simulate: experiment_result_json).
 void append_run_result_canonical_json(std::string& out,
                                       const RunResult& result);
 

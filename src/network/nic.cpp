@@ -75,11 +75,11 @@ PacketId Nic::enqueue_packet(NodeId src, NodeId dst, RouterId dst_router,
   }
   queued_flits_ += size_flits;
   ++packets_created_;
-  // Callers enqueue either mid-eval (injector, eject callbacks) — where the
-  // NIC's eval slot for `now` has already passed, so the engine clamps the
-  // wake to now+1 (matching lockstep: the NIC is registered before every
-  // traffic source) — or between steps, where cycle `now` is still upcoming
-  // and the wake lands on it.
+  // Callers enqueue either mid-eval (the injector) — where the NIC's eval
+  // slot for `now` has already passed, so the engine clamps the wake to
+  // now+1 (matching lockstep: the NIC is registered before every traffic
+  // source) — or between steps, where cycle `now` is still upcoming and the
+  // wake lands on it.
   request_wake(now);
   return id;
 }
@@ -92,8 +92,8 @@ void Nic::output_ready(int port, Cycle at) {
 void Nic::eval(Cycle now) {
   // Visit the union of both sets in ascending port order, injecting then
   // ejecting per port, exactly as a scan over every port would act. Members
-  // are read live, so a port an eject callback fills ahead of the walk
-  // still injects this cycle.
+  // are read live, so a port marked ahead of the walk is still visited this
+  // cycle.
   const int n = static_cast<int>(ports_.size());
   const auto next = [&](int from) {
     return std::min(inject_ready_.next(from), eject_pending_.next(from));
@@ -163,7 +163,6 @@ void Nic::eject(int p, Cycle now) {
     records_.push_back(rec);
     ++packets_ejected_;
     if (rec.measured) ++measured_ejected_;
-    if (on_eject_) on_eject_(records_.back(), now);
   }
   const VcId vc = flit->vc;
   port.eject->pop(now);

@@ -17,7 +17,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -41,13 +40,6 @@ class Nic final : public PortListener {
   PacketId enqueue_packet(NodeId src, NodeId dst, RouterId dst_router,
                           int size_flits, std::uint32_t flit_bits,
                           int vc_class, Cycle now, bool measured);
-
-  /// Invoked at every tail-flit ejection, after the record is stored.
-  /// Used by closed-loop traffic (request/reply) to react to arrivals.
-  using EjectCallback = std::function<void(const PacketRecord&, Cycle now)>;
-  void set_eject_callback(EjectCallback callback) {
-    on_eject_ = std::move(callback);
-  }
 
   void eval(Cycle now) override;
   void commit(Cycle /*now*/) override {}
@@ -130,7 +122,6 @@ class Nic final : public PortListener {
   PortSet inject_ready_;   ///< non-empty queue, not waiting on its channel
   PortSet eject_pending_;  ///< eject channel latched a flit
   std::vector<PacketRecord> records_;
-  EjectCallback on_eject_;
   PacketId next_packet_ = 0;
   std::int64_t queued_flits_ = 0;
   std::int64_t packets_created_ = 0;

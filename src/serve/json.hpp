@@ -1,9 +1,11 @@
-// Minimal JSON value, parser, and canonical writer for the serve protocol.
+// Minimal JSON value, parser, and canonical writer.
 //
-// The daemon speaks newline-delimited JSON over a local socket (DESIGN.md
-// §5g); this is the framing layer — no external dependency, just the subset
-// of JSON the protocol needs: null, bool, 64-bit integers, doubles, strings,
-// arrays, objects. Two properties matter beyond "parses JSON":
+// It reads and writes the canonical experiment config behind the cache key
+// (DESIGN.md §5g), topology files (topofile/) and the perfbench run records
+// — no external dependency, just the subset of JSON those need: null, bool,
+// 64-bit integers, doubles, strings, arrays, objects. It keeps its serve/
+// path and namespace because perfbench/ownbench.cpp includes it from there.
+// Two properties matter beyond "parses JSON":
 //
 //   * Objects keep their keys in a std::map, so `dump()` is canonical —
 //     sorted keys, shortest round-trip number forms (common/numfmt) — and

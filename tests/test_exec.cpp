@@ -1,10 +1,9 @@
 // Tests for the parallel execution subsystem (src/exec): thread pool
-// lifecycle, exception propagation, cancellation, parallel_for/map,
-// JobGraph batches — and the headline guarantee of the whole layer: a
-// latency sweep is bit-identical for 1 and N threads.
+// lifecycle, exception propagation, cancellation, parallel_for/map — and
+// the headline guarantee of the whole layer: a latency sweep is
+// bit-identical for 1 and N threads.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -15,7 +14,6 @@
 #include <vector>
 
 #include "exec/cancellation.hpp"
-#include "exec/job_graph.hpp"
 #include "exec/parallel_for.hpp"
 #include "exec/thread_pool.hpp"
 #include "driver/simulate.hpp"
@@ -170,75 +168,6 @@ TEST(ParallelMap, ThrowsCancelledWhenTokenFires) {
                    pool, 100, [](std::size_t i) { return i; },
                    source.token()),
                exec::Cancelled);
-}
-
-// ---- JobGraph ----------------------------------------------------------------
-
-TEST(JobGraph, RunsAllIndependentJobs) {
-  exec::ThreadPool pool(4);
-  exec::JobGraph graph;
-  std::vector<std::atomic<int>> ran(20);
-  for (int i = 0; i < 20; ++i) {
-    graph.add("job" + std::to_string(i), [&ran, i] { ran[i].fetch_add(1); });
-  }
-  const std::vector<exec::JobReport> reports = graph.run(pool);
-  ASSERT_EQ(reports.size(), 20u);
-  for (int i = 0; i < 20; ++i) {
-    EXPECT_EQ(ran[i].load(), 1);
-    EXPECT_TRUE(reports[i].ran);
-    EXPECT_FALSE(reports[i].failed);
-    EXPECT_GE(reports[i].wall_seconds, 0.0);
-  }
-}
-
-TEST(JobGraph, RespectsDependencyOrder) {
-  exec::ThreadPool pool(4);
-  exec::JobGraph graph;
-  std::mutex mu;
-  std::vector<int> order;
-  const auto record = [&](int id) {
-    std::lock_guard<std::mutex> lock(mu);
-    order.push_back(id);
-  };
-  const exec::JobId a = graph.add("a", [&] { record(0); });
-  const exec::JobId b = graph.add("b", {a}, [&] { record(1); });
-  graph.add("c", {b}, [&] { record(2); });
-  graph.add("d", {a}, [&] { record(3); });
-  graph.run(pool);
-  ASSERT_EQ(order.size(), 4u);
-  EXPECT_EQ(order[0], 0);  // a strictly first
-  // b before c; d anywhere after a.
-  const auto pos = [&](int id) {
-    return std::find(order.begin(), order.end(), id) - order.begin();
-  };
-  EXPECT_LT(pos(1), pos(2));
-}
-
-TEST(JobGraph, FailureSkipsTransitiveDependents) {
-  exec::ThreadPool pool(2);
-  exec::JobGraph graph;
-  std::atomic<int> ran{0};
-  const exec::JobId bad =
-      graph.add("bad", [] { throw std::runtime_error("job boom"); });
-  const exec::JobId child =
-      graph.add("child", {bad}, [&] { ran.fetch_add(1); });
-  graph.add("grandchild", {child}, [&] { ran.fetch_add(1); });
-  graph.add("independent", [&] { ran.fetch_add(1); });
-  const std::vector<exec::JobReport> reports = graph.run(pool);
-  EXPECT_TRUE(reports[0].failed);
-  EXPECT_NE(reports[0].error.find("job boom"), std::string::npos);
-  EXPECT_FALSE(reports[1].ran);
-  EXPECT_FALSE(reports[1].failed);
-  EXPECT_FALSE(reports[2].ran);
-  EXPECT_TRUE(reports[3].ran);
-  EXPECT_EQ(ran.load(), 1);  // only the independent job
-}
-
-TEST(JobGraph, RejectsUnknownDependency) {
-  exec::JobGraph graph;
-  EXPECT_THROW(graph.add("x", {0}, [] {}), std::invalid_argument);
-  const exec::JobId a = graph.add("a", [] {});
-  EXPECT_THROW(graph.add("y", {a + 1}, [] {}), std::invalid_argument);
 }
 
 // ---- sweep determinism -------------------------------------------------------

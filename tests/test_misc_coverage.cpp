@@ -1,5 +1,5 @@
-// Remaining coverage: the logger, latency histograms, O1TURN class usage
-// under live traffic, and trace injector measurement windows.
+// Remaining coverage: the logger, latency histograms and O1TURN class usage
+// under live traffic.
 #include <gtest/gtest.h>
 
 #include "common/log.hpp"
@@ -8,7 +8,6 @@
 #include "metrics/runner.hpp"
 #include "topology/cmesh.hpp"
 #include "traffic/injector.hpp"
-#include "traffic/trace.hpp"
 
 namespace ownsim {
 namespace {
@@ -79,25 +78,6 @@ TEST(O1Turn, BothRoutingFunctionsCarryTraffic) {
                        static_cast<double>(col_flits);
   EXPECT_GT(ratio, 0.9);
   EXPECT_LT(ratio, 1.1);
-}
-
-TEST(TraceInjector, MeasurementWindowTagsPackets) {
-  Network net(testing::ring_spec(8));
-  std::vector<TraceRecord> records;
-  for (Cycle t = 0; t < 100; t += 10) {
-    records.push_back({t, static_cast<NodeId>(t / 10 % 8),
-                       static_cast<NodeId>((t / 10 + 3) % 8), 2});
-  }
-  TraceInjector injector(&net, Trace(records), 128, false);
-  injector.set_measure_window(30, 70);
-  net.engine().add(&injector);
-  ASSERT_TRUE(net.engine().run_until(
-      [&] { return injector.finished() && net.drained(); }, 5000));
-  EXPECT_EQ(injector.packets_offered(), 10);
-  EXPECT_EQ(injector.measured_offered(), 4);  // cycles 30,40,50,60
-  int measured = 0;
-  for (const auto& rec : net.nic().records()) measured += rec.measured;
-  EXPECT_EQ(measured, 4);
 }
 
 TEST(Units, PowerConversionHelpers) {
